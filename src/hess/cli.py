@@ -103,11 +103,23 @@ def build_parser():
 
 
 def load_config(path):
+    """(NetworkConfig, TrainConfig) from the "network" and "train" sections
+    of a JSON file; an unknown key or a malformed section is a ValueError."""
     with open(path) as f:
         raw = json.load(f)
-    net_cfg = NetworkConfig(**raw.get("network", {}))
-    train_cfg = TrainConfig(**raw.get("train", {}))
-    return net_cfg, train_cfg
+    configs = []
+    for section, cls in (("network", NetworkConfig), ("train", TrainConfig)):
+        values = raw.get(section, {}) if isinstance(raw, dict) else None
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: section {section!r} must be a JSON object")
+        unknown = values.keys() - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"{path}: unknown key {min(unknown)!r} in section {section!r}")
+        try:
+            configs.append(cls(**values))
+        except TypeError as exc:
+            raise ValueError(f"{path}: section {section!r}: {exc}") from None
+    return tuple(configs)
 
 
 def cmd_gen(args):

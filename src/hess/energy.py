@@ -8,9 +8,14 @@ reading). Dense MACs cost 4.6 pJ and spike-driven accumulates 0.9 pJ,
 the standard 45 nm per-op estimates; `fit_energy_coefficients` recovers
 both values from the reference table by least squares. Spiking layers
 are charged MACs * input firing rate * timesteps; all fusion-module
-arithmetic is charged to the dense column. Only convolutions, linear
-maps and attention sampling are counted (normalizations, activations and
-neuron updates are negligible next to them).
+arithmetic is charged to the dense column.
+
+MACs are counted where they are computed: `ops.conv2d`, `ops.linear`
+and `ops.bilinear_sample_many` (4 per sample point and channel) charge
+the layer scope `network.forward` opens, as do the two K-point mixes of
+the fusion injectors (1 per point and channel). Elementwise ops,
+normalizations, activations, pooling, resizing and neuron updates are
+not counted (they are negligible next to the above).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .network import HybridNetwork, forward
 from .optim import prepare_batches
-from .tensor import no_grad
+from .tensor import count_macs, no_grad
 
 ANN_PJ_PER_MAC = 4.6
 SNN_PJ_PER_AC = 0.9
@@ -48,22 +53,6 @@ BASELINE_ROWS = (
     ("HALSIE",          92.50, 60.66, 1.82,  3.84,  0.267, 17.89),
     ("HESS",            95.07, 67.31, 1.79,  1.95,  0.110, 9.08),
 )
-
-
-@dataclass
-class ConvSpec:
-    cin: int
-    cout: int
-    kh: int
-    kw: int
-    out_h: int
-    out_w: int
-
-
-@dataclass
-class LinearSpec:
-    din: int
-    dout: int
 
 
 @dataclass
@@ -106,19 +95,8 @@ class EnergyReport:
         return text
 
 
-def count_ann_macs(spec):
-    """Dense MACs per inference for a conv or linear geometry."""
-    if isinstance(spec, ConvSpec):
-        return spec.cout * spec.out_h * spec.out_w * spec.cin * spec.kh * spec.kw
-    if isinstance(spec, LinearSpec):
-        return spec.din * spec.dout
-    raise TypeError(f"unsupported layer spec {type(spec).__name__}")
-
-
 def count_snn_synops(macs, spike_rate, timesteps):
     """Spike-gated accumulates: MACs * input rate * timesteps."""
-    if isinstance(macs, (ConvSpec, LinearSpec)):
-        macs = count_ann_macs(macs)
     if not 0.0 <= spike_rate <= 1.0:
         raise ValueError("spike rate must lie in [0, 1]")
     return macs * spike_rate * timesteps
@@ -145,39 +123,36 @@ def fit_energy_coefficients(rows=BASELINE_ROWS):
 
 
 def profile(net: HybridNetwork, samples, use_events=True) -> EnergyReport:
-    """Run the dataset through the network and aggregate per-layer costs.
+    """Run the dataset through the network and reduce the MACs its ops
+    charge to per-layer costs.
 
     MAC counts and spike rates are averaged over samples; parameters are
-    untouched. With use_events=False the frame branch runs alone and the
-    spiking column is zero.
+    untouched. A spiking layer runs one charged op per timestep, so its
+    MACs are reported per timestep. With use_events=False the frame
+    branch runs alone and the spiking column is zero.
     """
     if not samples:
         raise ValueError("profiling needs at least one sample")
     frames, voxels, _ = prepare_batches(samples, net.config.bins)
-    acc = {}
-    order = []
+    runs = []
     for i in range(len(samples)):
-        probe = []
-        with no_grad():
-            forward(net, frames[i:i + 1],
-                    voxels[i:i + 1] if use_events else None, probe=probe)
-        for rec in probe:
-            if rec["name"] not in acc:
-                acc[rec["name"]] = {"kind": rec["kind"], "macs": [],
-                                    "rates": [], "timesteps": rec["timesteps"]}
-                order.append(rec["name"])
-            acc[rec["name"]]["macs"].append(rec["macs"])
-            if rec["rate"] is not None:
-                acc[rec["name"]]["rates"].append(rec["rate"])
+        with no_grad(), count_macs() as counts:
+            forward(net, frames[i:i + 1], voxels[i:i + 1] if use_events else None)
+        runs.append(counts)
+
+    def mean(values):
+        return float(np.mean(list(values)))
 
     layers = []
-    for name in order:
-        e = acc[name]
-        snn = e["kind"] == "snn"
-        layers.append(LayerCost(
-            name=name, kind=e["kind"], macs=float(np.mean(e["macs"])),
-            spike_rate=float(np.mean(e["rates"])) if snn else None,
-            timesteps=e["timesteps"] if snn else None))
+    for name, rec in runs[0].items():
+        per_run = [r[name] for r in runs]
+        if rec["kind"] == "snn":
+            layers.append(LayerCost(
+                name, "snn", mean(r["macs"] / r["calls"] for r in per_run),
+                spike_rate=mean(r["nonzero"] / r["inputs"] for r in per_run),
+                timesteps=rec["calls"]))
+        else:
+            layers.append(LayerCost(name, "ann", mean(r["macs"] for r in per_run)))
     gflops_ann = sum(l.ops() for l in layers if l.kind == "ann") / 1e9
     gflops_snn = sum(l.ops() for l in layers if l.kind == "snn") / 1e9
     return EnergyReport(gflops_ann, gflops_snn,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, constant, narrow0, stack
+from .tensor import Tensor, charge, constant, narrow0, stack
 from .voxel import ReferencePointSet
 
 
@@ -160,6 +160,7 @@ def atw_inject(f_ann, f_snn_w, params: ATWParams):
     samples = ops.bilinear_sample_many(f_snn_w, pts)             # (N, H*W*K, C)
     wts = attw.transpose((0, 2, 3, 1)).reshape((n, h * w * k, 1))
     mixed = (samples * wts).reshape((n, h * w, k, c)).sum(axis=2)
+    charge(samples.size)                                         # the K-point mix
     attended = mixed.reshape((n, h, w, c)).transpose((0, 3, 1, 2))
     out = ops.conv2d(attended, params.out_w, params.out_b)
     return f_ann + out
@@ -235,6 +236,7 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
                                     pts.reshape((t * p * k, 2))).reshape((t, p * k, c))
         mixed = ((s_ann * s_snn).reshape((t, p, k, c)) *
                  a.reshape((t, p, k, 1))).sum(axis=2)               # (T, P, C)
+        charge(s_snn.size)                                          # the K-point mix
         deltas.append(ops.scatter_points_many(mixed, r.ys, r.xs, (h, w)))
     return f_snn + stack(deltas, axis=0)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .energy import profile
 from .imgio import colorize_labels, write_pgm, write_ppm
 from .metrics import ConfusionMatrix, confusion, metrics
-from .network import NetworkConfig, build, forward, predict
+from .network import NetworkConfig, build, predict
 from .optim import TrainConfig, prepare_batches, train
 
 # the 8 module-toggle rows of the ablation grid: frame+event baseline,

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import fusion, ops
-from .spiking import LIFConfig, lif_forward_seq, spike_rate
-from .tensor import Tensor, constant, no_grad, take_axis
+from .spiking import LIFConfig, lif_forward_seq
+from .tensor import Tensor, constant, cost_scope, no_grad, take_axis
 from .voxel import VoxelGrid, downsample_voxel, extract_reference_points, znorm
 
 CHECKPOINT_MAGIC = b"HESS"
@@ -118,21 +118,13 @@ def build(config: NetworkConfig) -> HybridNetwork:
     net = HybridNetwork(config)
     reg = net.params
 
+    def param(name, data):
+        reg[name] = Tensor(data, requires_grad=True)
+        return reg[name]
+
     def uniform(name, shape, fan_in):
-        t = Tensor(rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
-                               size=shape), requires_grad=True)
-        reg[name] = t
-        return t
-
-    def zeros(name, shape):
-        t = Tensor(np.zeros(shape), requires_grad=True)
-        reg[name] = t
-        return t
-
-    def ones(name, shape):
-        t = Tensor(np.ones(shape), requires_grad=True)
-        reg[name] = t
-        return t
+        limit = 1.0 / np.sqrt(fan_in)
+        return param(name, rng.uniform(-limit, limit, size=shape))
 
     prev_factor = 1
     ann_cin = config.input_channels
@@ -141,38 +133,26 @@ def build(config: NetworkConfig) -> HybridNetwork:
         stride = factor // prev_factor
         stage = _Stage(
             ann_w=uniform(f"stage{i}.ann.w", (c, ann_cin, 3, 3), ann_cin * 9),
-            ann_b=zeros(f"stage{i}.ann.b", (c,)),
-            gamma=ones(f"stage{i}.norm.gamma", (c,)),
-            beta=zeros(f"stage{i}.norm.beta", (c,)),
+            ann_b=param(f"stage{i}.ann.b", np.zeros(c)),
+            gamma=param(f"stage{i}.norm.gamma", np.ones(c)),
+            beta=param(f"stage{i}.norm.beta", np.zeros(c)),
             snn_w=uniform(f"stage{i}.snn.w", (c, snn_cin, 3, 3), snn_cin * 9),
-            snn_b=zeros(f"stage{i}.snn.b", (c,)),
+            snn_b=param(f"stage{i}.snn.b", np.zeros(c)),
             stride=stride)
         net.stages.append(stage)
         if config.atw_on:
             p = fusion.init_atw_params(c, config.adaptor_ratio, config.k_points, rng)
-            p.out_w.data[:] = 0.0
-            p.out_b.data[:] = 0.0
-            for suffix, t in (("w_down", p.w_down), ("w_up", p.w_up),
-                              ("q.w", p.q_w), ("q.b", p.q_b),
-                              ("off.w", p.off_w), ("off.b", p.off_b),
-                              ("attw.w", p.attw_w), ("attw.b", p.attw_b),
-                              ("out.w", p.out_w), ("out.b", p.out_b)):
-                reg[f"atw{i}.{suffix}"] = t
+            _register(reg, f"atw{i}", p)
             net.atw.append(p)
         if config.eds_on:
             p = fusion.init_eds_params(c, c, config.k_points, rng)
-            for suffix, t in (("off.w", p.off_w), ("off.b", p.off_b),
-                              ("attw.w", p.attw_w), ("attw.b", p.attw_b),
-                              ("proj.w", p.proj_w), ("proj.b", p.proj_b)):
-                reg[f"eds{i}.{suffix}"] = t
+            _register(reg, f"eds{i}", p)
             net.eds.append(p)
         if config.csf_on:
             pa = fusion.init_csf_params(c, rng)
             ps = fusion.init_csf_params(c, rng)
-            reg[f"csf{i}.frame.w"] = pa.w
-            reg[f"csf{i}.frame.b"] = pa.b
-            reg[f"csf{i}.spike.w"] = ps.w
-            reg[f"csf{i}.spike.b"] = ps.b
+            _register(reg, f"csf{i}.frame", pa)
+            _register(reg, f"csf{i}.spike", ps)
             net.csf.append((pa, ps))
         prev_factor = factor
         ann_cin = c
@@ -181,11 +161,19 @@ def build(config: NetworkConfig) -> HybridNetwork:
     c_head = config.scales[0][1]
     for i, (_, c) in enumerate(config.scales):
         w = uniform(f"head.lateral{i}.w", (c_head, c, 1, 1), c)
-        b = zeros(f"head.lateral{i}.b", (c_head,))
+        b = param(f"head.lateral{i}.b", np.zeros(c_head))
         net.lateral.append((w, b))
     net.cls_w = uniform("head.cls.w", (config.num_classes, c_head, 1, 1), c_head)
-    net.cls_b = zeros("head.cls.b", (config.num_classes,))
+    net.cls_b = param("head.cls.b", np.zeros(config.num_classes))
     return net
+
+
+def _register(reg, prefix, params):
+    """Add a block's tensors in field order: field q_w becomes <prefix>.q.w;
+    the adaptor's w_down / w_up keep their names."""
+    for f in fields(params):
+        suffix = f.name if f.name.startswith("w_") else f.name.replace("_", ".")
+        reg[f"{prefix}.{suffix}"] = getattr(params, f.name)
 
 
 def _voxel_batch(voxel, h, w):
@@ -201,28 +189,29 @@ def _voxel_batch(voxel, h, w):
     return arr
 
 
-def forward(net: HybridNetwork, frames, voxel=None, smooth=False, probe=None):
+def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
     """Segmentation logits N*num_classes*H*W.
 
     frames: N*Cin*H*W array (or Tensor). voxel: a VoxelGrid, a list of
     them, or a raw (N, B, H, W) array; None runs the frame branch alone.
     Z-scoring of the voxel and reference-point extraction happen here,
     from the raw grid. smooth swaps the LIF Heaviside for its sigmoid
-    surrogate (gradient verification only). probe, when given, collects
-    per-layer cost records.
+    surrogate (gradient verification only). Each layer runs in a
+    cost_scope of its name, so under tensor.count_macs() the MACs its ops
+    perform are charged to it.
     """
     cfg = net.config
     frames = constant(frames)
     if frames.ndim != 4 or frames.shape[1] != cfg.input_channels:
         raise ValueError("frames must be N*Cin*H*W with configured input channels")
+    if not np.isfinite(frames.data).all():
+        raise ValueError("frames must be finite")
     n, _, h, w = frames.shape
     max_factor = cfg.scales[-1][0]
     if h % max_factor or w % max_factor:
         raise ValueError(f"input size must be divisible by {max_factor}")
 
     events_on = voxel is not None
-    snn_inputs = None
-    refs_per_scale = None
     if events_on:
         raw = _voxel_batch(voxel, h, w)
         if raw.shape[0] != n:
@@ -231,53 +220,44 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False, probe=None):
             raise ValueError(f"voxel has {raw.shape[1]} bins, config says {cfg.bins}")
         if cfg.bins != cfg.timesteps:
             raise ValueError("bins must equal timesteps (one bin per step)")
-        normed = np.stack([_znorm_arr(raw[i]) for i in range(n)])
+        grids = [VoxelGrid(raw[i], 0, 1) for i in range(n)]
+        normed = np.stack([znorm(g).data for g in grids])
         snn_inputs = [constant(normed[:, t][:, None]) for t in range(cfg.timesteps)]
-        refs_per_scale = []
-        for factor, _ in cfg.scales:
-            refs = []
-            for i in range(n):
-                g = downsample_voxel(VoxelGrid(raw[i], 0, 1), factor)
-                refs.append(extract_reference_points(g, scale=factor))
-            refs_per_scale.append(refs)
+        refs_per_scale = [[extract_reference_points(downsample_voxel(g, factor),
+                                                    scale=factor) for g in grids]
+                          for factor, _ in cfg.scales]
 
     ann = frames
     fused_maps = []
     for i, (stage, (factor, c)) in enumerate(zip(net.stages, cfg.scales)):
-        a_pre = ops.conv2d(ann, stage.ann_w, stage.ann_b, stride=stage.stride, pad=1)
-        _probe_conv(probe, f"stage{i}.ann", "ann", ann, stage.ann_w, a_pre)
+        with cost_scope(f"stage{i}.ann"):
+            a_pre = ops.conv2d(ann, stage.ann_w, stage.ann_b, stride=stage.stride, pad=1)
         a = ops.group_norm(a_pre, stage.gamma, stage.beta).relu()
         if events_on:
-            currents = [ops.conv2d(x, stage.snn_w, stage.snn_b,
-                                   stride=stage.stride, pad=1) for x in snn_inputs]
-            if probe is not None:
-                _probe_snn(probe, f"stage{i}.snn", snn_inputs, stage.snn_w, currents[0])
+            with cost_scope(f"stage{i}.snn", kind="snn"):
+                currents = [ops.conv2d(x, stage.snn_w, stage.snn_b,
+                                       stride=stage.stride, pad=1) for x in snn_inputs]
             spikes = lif_forward_seq(currents, cfg.lif(), smooth=smooth)
             if cfg.atw_on:
-                a = fusion.atw_apply(a, spikes, net.atw[i])
-                if probe is not None:
-                    _probe_atw(probe, f"atw{i}", net.atw[i], a, cfg)
+                with cost_scope(f"atw{i}"):
+                    a = fusion.atw_apply(a, spikes, net.atw[i])
             if cfg.eds_on:
-                sn = fusion.eds_inject(spikes, a, refs_per_scale[i], net.eds[i])
-                if probe is not None:
-                    _probe_eds(probe, f"eds{i}", net.eds[i], spikes,
-                               refs_per_scale[i], cfg)
+                with cost_scope(f"eds{i}"):
+                    sn = fusion.eds_inject(spikes, a, refs_per_scale[i], net.eds[i])
             else:
                 sn = spikes
             if cfg.csf_on:
                 pa, ps = net.csf[i]
-                fused = fusion.csf_fuse(a, sn, pa, ps)
-                _probe_csf(probe, f"csf{i}", a)
+                with cost_scope(f"csf{i}"):
+                    fused = fusion.csf_fuse(a, sn, pa, ps)
             else:
                 fused = a + sn.sum(axis=1)
             snn_inputs = [take_axis(sn, 1, t) for t in range(cfg.timesteps)]
+        elif cfg.csf_on:
+            with cost_scope(f"csf{i}"):
+                fused = fusion.csf_select(a, net.csf[i][0])
         else:
-            if cfg.csf_on:
-                pa, _ = net.csf[i]
-                fused = fusion.csf_select(a, pa)
-                _probe_csf(probe, f"csf{i}", a, frame_only=True)
-            else:
-                fused = a
+            fused = a
         ann = a
         fused_maps.append(fused)
 
@@ -285,18 +265,13 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False, probe=None):
     acc = None
     for i, f in enumerate(fused_maps):
         wl, bl = net.lateral[i]
-        lat = ops.conv2d(f, wl, bl)
-        _probe_conv(probe, f"head.lateral{i}", "ann", f, wl, lat)
+        with cost_scope(f"head.lateral{i}"):
+            lat = ops.conv2d(f, wl, bl)
         up = ops.interp_resize(lat, h0, w0)
         acc = up if acc is None else acc + up
-    logits = ops.conv2d(acc, net.cls_w, net.cls_b)
-    _probe_conv(probe, "head.cls", "ann", acc, net.cls_w, logits)
+    with cost_scope("head.cls"):
+        logits = ops.conv2d(acc, net.cls_w, net.cls_b)
     return ops.interp_resize(logits, h, w)
-
-
-def _znorm_arr(grid):
-    std = grid.std()
-    return (grid - grid.mean()) / max(float(std), 1e-8)
 
 
 def loss(logits, labels, ignore_index=255):
@@ -309,66 +284,6 @@ def predict(net, frames, voxel=None):
     with no_grad():
         logits = forward(net, frames, voxel)
     return np.argmax(logits.data, axis=1)
-
-
-# -- per-layer cost probing ---------------------------------------------------
-
-
-def _conv_macs(x_shape, w_shape, out_shape):
-    cout, cin, kh, kw = w_shape
-    return int(cout * out_shape[2] * out_shape[3] * cin * kh * kw)
-
-
-def _probe_conv(probe, name, kind, x, w, out):
-    if probe is None:
-        return
-    probe.append({"name": name, "kind": kind,
-                  "macs": _conv_macs(x.shape, w.shape, out.shape),
-                  "rate": None, "timesteps": 1})
-
-
-def _probe_snn(probe, name, inputs, w, out0):
-    stacked = np.stack([x.data for x in inputs], axis=1)
-    rate = float(np.count_nonzero(stacked) / stacked.size)
-    probe.append({"name": name, "kind": "snn",
-                  "macs": _conv_macs(inputs[0].shape, w.shape, out0.shape),
-                  "rate": rate, "timesteps": len(inputs)})
-
-
-def _probe_atw(probe, name, p, a, cfg):
-    n, c, h, w = a.shape
-    k = cfg.k_points
-    t = cfg.timesteps
-    # query/offset/weight/output 1x1 convs, the bottleneck adaptor and the
-    # 4-corner sampling with its K-point mix
-    conv_macs = h * w * (c * c + c * 2 * k + c * k + c * c)
-    adaptor = t * 2 * c * (c // cfg.adaptor_ratio)
-    sampling = h * w * k * 5 * c
-    probe.append({"name": name, "kind": "ann",
-                  "macs": int(conv_macs + adaptor + sampling),
-                  "rate": None, "timesteps": 1})
-
-
-def _probe_eds(probe, name, p, spikes, refs, cfg):
-    n, t, c, h, w = spikes.shape
-    k = cfg.k_points
-    heads = t * h * w * (c * 2 * k + c * k)
-    proj = h * w * c * c
-    pts = sum(len(r) for r in refs) / max(len(refs), 1)
-    sampling = int(t * pts * k * 9 * c)
-    probe.append({"name": name, "kind": "ann",
-                  "macs": int(heads + proj + sampling),
-                  "rate": None, "timesteps": 1})
-
-
-def _probe_csf(probe, name, a, frame_only=False):
-    if probe is None:
-        return
-    n, c, h, w = a.shape
-    branches = 1 if frame_only else 2
-    probe.append({"name": name, "kind": "ann",
-                  "macs": int(branches * h * w * c * c),
-                  "rate": None, "timesteps": 1})
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -403,49 +318,56 @@ def save_checkpoint(net: HybridNetwork, path, optimizer_state=None):
 
 
 def load_checkpoint(path):
-    """Rebuild (network, optimizer_state_or_None) from a checkpoint."""
+    """Rebuild (network, optimizer_state_or_None) from a checkpoint.
+
+    Every read is bounds-checked: a short or malformed file raises
+    ValueError naming the path.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
+    pos = 0
+
+    def take(nbytes):
+        nonlocal pos
+        if pos + nbytes > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += nbytes
+        return raw[pos - nbytes:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def array(shape):
+        count = int(np.prod(shape))
+        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    version, cfg_len = struct.unpack_from("<II", raw, 4)
+    version, cfg_len = unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    cfg_dict = json.loads(raw[pos:pos + cfg_len].decode())
-    pos += cfg_len
+    cfg_dict = json.loads(take(cfg_len).decode())
     net = build(NetworkConfig(**cfg_dict))
-    (n_params,) = struct.unpack_from("<Q", raw, pos)
-    pos += 8
+    (n_params,) = unpack("<Q")
     if n_params != len(net.params):
         raise ValueError(f"{path}: parameter count mismatch")
     for name, p in net.params.items():
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        fname = raw[pos:pos + nlen].decode()
-        pos += nlen
+        (nlen,) = unpack("<H")
+        fname = take(nlen).decode()
         if fname != name:
             raise ValueError(f"{path}: expected parameter {name}, found {fname}")
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        stored = np.frombuffer(raw, dtype="<f8", count=count,
-                               offset=pos).reshape(shape)
-        p.data = np.ascontiguousarray(stored, dtype=p.data.dtype)
-        pos += 8 * count
-    (has_optim,) = struct.unpack_from("<B", raw, pos)
-    pos += 1
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        if shape != p.shape:
+            raise ValueError(f"{path}: parameter {name} has shape {shape}, "
+                             f"expected {p.shape}")
+        p.data = array(shape).astype(p.data.dtype)   # a writable copy
+    (has_optim,) = unpack("<B")
     optim = None
     if has_optim:
-        (step,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
+        (step,) = unpack("<Q")
         optim = {"step": step, "m": {}, "v": {}}
         for name, p in net.params.items():
             for key in ("m", "v"):
-                optim[key][name] = np.frombuffer(
-                    raw, dtype="<f8", count=p.size,
-                    offset=pos).reshape(p.data.shape).copy()
-                pos += 8 * p.size
+                optim[key][name] = array(p.shape).copy()
     return net, optim

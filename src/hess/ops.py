@@ -1,5 +1,6 @@
 """Structured differentiable operations: convolution, pooling, sampling,
-resizing, normalization and the segmentation loss."""
+resizing, normalization and the segmentation loss. conv2d, linear and
+bilinear_sample_many charge their MACs to the active tensor.cost_scope."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, constant, record_op, _single, tmean, relu  # noqa: F401
+from .tensor import Tensor, charge, constant, record_op, _single, tmean
 
 
 def _scatter_add_rows(target, rows, vals):
@@ -70,6 +71,7 @@ def conv2d(x, w, b, stride=1, pad=0):
     cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*Kh*Kw, L)
     wmat = w.data.reshape(cout, -1)                       # (Cout, Cin*Kh*Kw)
     y = np.matmul(wmat, cols) + b.data[:, None]           # (N, Cout, L)
+    charge(y.size * cin * kh * kw, x.data)
     out = Tensor(y.reshape(n, cout, oh, ow))
 
     def backward(g):
@@ -98,6 +100,7 @@ def linear(x, w, b=None):
             raise ValueError("linear bias must match output width")
         y = y + b.data
     out = Tensor(y.reshape(*lead, w.shape[1]))
+    charge(y.size * w.shape[0], x.data)
 
     def backward(g):
         gm = g.reshape(-1, w.shape[1])
@@ -171,6 +174,7 @@ def bilinear_sample_many(maps, points):
     for (_, _, wt, val) in corners[1:]:
         out_data += wt[:, :, None] * val
     out = Tensor(out_data)
+    charge(4 * out_data.size)    # one MAC per corner
 
     def backward(g):
         dmaps = None
@@ -224,13 +228,6 @@ def gather_pixels_many(maps, iy, ix):
     return out
 
 
-def gather_pixels(map_, iy, ix):
-    """Read a C*H*W map at integer pixel positions, giving P*C."""
-    map_ = constant(map_)
-    out = gather_pixels_many(map_.reshape((1,) + map_.shape), iy, ix)
-    return out.reshape(out.shape[1:])
-
-
 def scatter_points_many(updates, iy, ix, hw):
     """Place M*P*C updates onto zero M*C*H*W maps at shared integer
     positions. Repeated positions accumulate."""
@@ -253,13 +250,6 @@ def scatter_points_many(updates, iy, ix, hw):
 
     record_op([out], [updates], backward)
     return out
-
-
-def scatter_points(updates, iy, ix, hw):
-    """Place P*C updates onto a zero C*H*W map at integer pixel positions."""
-    updates = constant(updates)
-    out = scatter_points_many(updates.reshape((1,) + updates.shape), iy, ix, hw)
-    return out.reshape(out.shape[1:])
 
 
 @functools.lru_cache(maxsize=64)

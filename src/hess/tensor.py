@@ -86,6 +86,64 @@ def no_grad():
         _recording = prev
 
 
+# -- MAC counting ------------------------------------------------------------
+# Structured ops charge the MACs they perform to the active layer scope.
+# Outside count_macs() counting is off and costs each op one test.
+
+_counts = None                  # {layer: record} while counting
+_scope = ("unscoped", "ann")    # (layer, kind) that work is charged to
+_NO_SCOPE = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def count_macs():
+    """Count the MACs charged inside the block; yields {layer: record} in
+    first-entered order. A record holds the layer's kind ("ann" | "snn"),
+    its summed macs and number of charges (calls); an "snn" record also sums
+    the nonzero and total entries of its inputs (rate = nonzero / inputs)."""
+    global _counts, _scope
+    prev = _counts, _scope
+    _counts, _scope = {}, ("unscoped", "ann")
+    try:
+        yield _counts
+    finally:
+        _counts, _scope = prev
+
+
+def cost_scope(name, kind="ann"):
+    """Charge the work inside the block to layer ``name``."""
+    return _NO_SCOPE if _counts is None else _charged_to(name, kind)
+
+
+@contextlib.contextmanager
+def _charged_to(name, kind):
+    global _scope
+    prev, _scope = _scope, (name, kind)
+    _layer_record()     # list the layer even if it charges nothing
+    try:
+        yield
+    finally:
+        _scope = prev
+
+
+def _layer_record():
+    name, kind = _scope
+    return _counts.setdefault(name, dict(kind=kind, macs=0, calls=0,
+                                         nonzero=0, inputs=0))
+
+
+def charge(macs, x=None):
+    """Add ``macs`` to the active layer; in an "snn" layer also tally the
+    nonzero entries of the input array ``x``. A no-op unless counting."""
+    if _counts is not None:
+        rec = _layer_record()
+        rec["macs"] += int(macs)
+        rec["calls"] += 1
+        if rec["kind"] == "snn" and x is not None:
+            rec["nonzero"] += np.count_nonzero(x)
+            rec["inputs"] += x.size
+
+
 class Tensor:
     """A dense array of float64 values plus optional gradient bookkeeping.
 

@@ -87,6 +87,23 @@ class TestCLI:
                      "--data", str(workspace / "test")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_truncated_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "short.hess"
+        ckpt.write_bytes(b"HESS\x01\0\0\0")
+        assert main(["eval", "--ckpt", str(ckpt),
+                     "--data", str(workspace / "test")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["network", "train"])
+    def test_train_rejects_unknown_config_key(self, workspace, tmp_path, capsys, section):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {"bogus": 1}}))
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'bogus'" in err
+        assert not (tmp_path / "m.hess").exists()
+
     def test_sweep_and_ablate(self, workspace):
         sweep_report = workspace / "sweep.json"
         assert main(["sweep-timesteps", "--config", str(workspace / "config.json"),

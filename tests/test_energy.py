@@ -1,11 +1,21 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from hess.energy import (BASELINE_ROWS, ConvSpec, EnergyReport, LayerCost,
-                         LinearSpec, count_ann_macs, count_snn_synops,
-                         energy_total, fit_energy_coefficients, profile)
-from hess.network import NetworkConfig, build
+from hess import ops, tensor
+from hess.energy import (BASELINE_ROWS, EnergyReport, LayerCost,
+                         count_snn_synops, energy_total,
+                         fit_energy_coefficients, profile)
+from hess.network import NetworkConfig, build, forward
+from hess.optim import prepare_batches
 from hess.synthetic import SynthConfig, make_samples
+from hess.tensor import cost_scope, count_macs, no_grad
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # every reference row that reports operation counts: (dense GFLOPs,
 # spiking GFLOPs) -> published total energy in mJ
@@ -50,17 +60,27 @@ class TestCoefficientFit:
         assert abs(snn_pj - 0.90) <= 0.05
 
 
+def counted_macs(op, *args, **kwargs):
+    """MACs one op call charges, counted under count_macs()."""
+    with count_macs() as counts, cost_scope("op"):
+        op(*args, **kwargs)
+    return counts["op"]["macs"]
+
+
 class TestCounts:
     def test_conv_hand_count(self):
-        spec = ConvSpec(cin=3, cout=8, kh=3, kw=3, out_h=16, out_w=16)
-        assert count_ann_macs(spec) == 8 * 16 * 16 * 3 * 9 == 55_296
+        x = np.ones((1, 3, 16, 16))
+        w = np.ones((8, 3, 3, 3))
+        macs = counted_macs(ops.conv2d, x, w, np.zeros(8), pad=1)
+        assert macs == 8 * 16 * 16 * 3 * 9 == 55_296
 
     def test_pointwise_conv(self):
-        spec = ConvSpec(cin=5, cout=5, kh=1, kw=1, out_h=4, out_w=7)
-        assert count_ann_macs(spec) == 25 * 28
+        macs = counted_macs(ops.conv2d, np.ones((1, 5, 4, 7)),
+                            np.ones((5, 5, 1, 1)), np.zeros(5))
+        assert macs == 25 * 28
 
     def test_linear(self):
-        assert count_ann_macs(LinearSpec(10, 5)) == 50
+        assert counted_macs(ops.linear, np.ones((1, 10)), np.ones((10, 5))) == 50
 
     def test_synops_zero_rate(self):
         assert count_snn_synops(55_296, 0.0, 5) == 0
@@ -127,8 +147,8 @@ class TestProfile:
         net, samples = small_setup()
         report = profile(net, samples)
         # stage0: 1->8 channels, 3x3, output 8x8; stage1: 8->8, output 4x4
-        expected0 = count_ann_macs(ConvSpec(1, 8, 3, 3, 8, 8))
-        expected1 = count_ann_macs(ConvSpec(8, 8, 3, 3, 4, 4))
+        expected0 = 8 * 8 * 8 * 1 * 9
+        expected1 = 8 * 4 * 4 * 8 * 9
         by_name = {l.name: l for l in report.layers}
         assert by_name["stage0.ann"].macs == expected0
         assert by_name["stage1.ann"].macs == expected1
@@ -147,7 +167,6 @@ class TestProfile:
         net, samples = small_setup()
         report = profile(net, samples)
         text = report.to_json(tmp_path / "r.json")
-        import json
         loaded = json.loads(text)
         assert set(loaded) == {"gflops_ann", "gflops_snn", "e_total_mj", "layers"}
         assert loaded["layers"][0]["name"] == "stage0.ann"
@@ -168,3 +187,65 @@ class TestLayerCost:
     def test_report_invariant(self):
         r = EnergyReport(1.0, 2.0, energy_total(1.0, 2.0), [])
         assert r.e_total_mj == 4.6 + 1.8
+
+
+def default_profile_setup():
+    return build(NetworkConfig()), make_samples(5, SynthConfig(64, 64, frame_count=10))
+
+
+class TestCountedProfile:
+    """The profile is a reduction over the MACs the ops charge."""
+
+    def test_layer_names_match_benchmark_metrics(self):
+        script = ("import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+                  "print(json.dumps(run.count_metric_names()))")
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        bench = [n[len("energy.macs."):] for n in json.loads(out.splitlines()[-1])
+                 if n.startswith("energy.macs.")]
+        assert len(bench) == 19
+        net, samples = default_profile_setup()
+        names = [l.name for l in profile(net, samples[:2]).layers]
+        assert sorted(names) == sorted(bench)
+        # execution order: each scale's stage convs and fusion blocks, then the head
+        expected = []
+        for i in range(3):
+            expected += [f"stage{i}.ann", f"stage{i}.snn", f"atw{i}", f"eds{i}", f"csf{i}"]
+        expected += [f"head.lateral{i}" for i in range(3)] + ["head.cls"]
+        assert names == expected
+        frames_only = profile(net, samples[:2], use_events=False).layers
+        assert [l.name for l in frames_only] == [
+            n for n in expected if n.endswith(".ann") or n.startswith(("csf", "head"))]
+        assert len(frames_only) == 10
+        assert all(l.kind == "ann" for l in frames_only)
+
+    def test_default_counts(self):
+        net, samples = default_profile_setup()
+        report = profile(net, samples)
+        by_name = {l.name: l for l in report.layers}
+        assert by_name["atw0"].macs == 1_049_216
+        assert by_name["eds0"].macs == 1_379_680
+        assert by_name["csf0"].macs == 524_288
+        assert report.gflops_ann == 0.010030368
+        assert report.e_total_mj == 0.04684247471999999    # 0.04684247472
+
+    def test_counting_leaves_logits_bitwise_equal(self):
+        net, samples = default_profile_setup()
+        frames, voxels, _ = prepare_batches(samples[:2], net.config.bins)
+        with no_grad():
+            plain = forward(net, frames, voxels).data
+            with count_macs() as counts:
+                counted = forward(net, frames, voxels).data
+        assert counts and plain.tobytes() == counted.tobytes()
+
+    def test_nothing_recorded_outside_count_macs(self):
+        net, samples = default_profile_setup()
+        frames, voxels, _ = prepare_batches(samples[:1], net.config.bins)
+        with count_macs() as counts:
+            pass
+        with no_grad():
+            forward(net, frames, voxels)
+        assert counts == {}
+        assert tensor._counts is None
+        assert cost_scope("x") is cost_scope("y")   # the shared no-op context

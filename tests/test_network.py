@@ -120,6 +120,16 @@ class TestForward:
         with pytest.raises(ValueError, match="divisible"):
             forward(net, np.zeros((1, 1, 18, 18)))
 
+    @pytest.mark.parametrize("entry", ["frames", "voxel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [forward, predict], ids=["forward", "predict"])
+    def test_non_finite_input_rejected(self, call, bad, entry):
+        net = small_net()
+        frames, voxel = rand_inputs(3)
+        (frames if entry == "frames" else voxel)[1, 0, 4, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            call(net, frames, voxel)
+
     def test_voxel_spatial_mismatch_rejected(self):
         net = small_net()
         with pytest.raises(ValueError, match="spatial"):
@@ -269,6 +279,25 @@ class TestCheckpoint:
         p.write_bytes(b"JUNKxxxx")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        net = small_net(16, scales=((2, 2),), k_points=1)
+        p = tmp_path / "net.hess"
+        save_checkpoint(net, p, AdamW(net.params).state())
+        data = p.read_bytes()
+        cut = tmp_path / "cut.hess"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            with pytest.raises(ValueError, match="cut.hess"):
+                load_checkpoint(cut)
+        cut.write_bytes(data)
+        load_checkpoint(cut)
+
+    def test_loaded_parameters_are_writable(self, tmp_path):
+        p = tmp_path / "net.hess"
+        save_checkpoint(small_net(17), p)
+        loaded, _ = load_checkpoint(p)
+        assert all(t.data.flags.writeable for t in loaded.params.values())
 
     def test_forward_equivalence_after_roundtrip(self, tmp_path):
         net = small_net(15)

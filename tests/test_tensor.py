@@ -159,13 +159,15 @@ class TestPoolAndSample:
         m = g.normal(size=(3, 5, 6))
         iy = np.array([0, 2, 4])
         ix = np.array([1, 5, 0])
-        got = ops.gather_pixels(constant(m), iy, ix)
-        assert np.allclose(got.data, m[:, iy, ix].T)
-        back = ops.scatter_points(got, iy, ix, (5, 6))
-        assert np.allclose(back.data[:, iy, ix], m[:, iy, ix])
+        got = ops.gather_pixels_many(constant(m[None]), iy, ix)
+        assert got.shape == (1, 3, 3)
+        assert np.allclose(got.data[0], m[:, iy, ix].T)
+        back = ops.scatter_points_many(got, iy, ix, (5, 6))
+        assert back.shape == (1, 3, 5, 6)
+        assert np.allclose(back.data[0][:, iy, ix], m[:, iy, ix])
         mask = np.ones((5, 6), bool)
         mask[iy, ix] = False
-        assert np.all(back.data[:, mask] == 0.0)
+        assert np.all(back.data[0][:, mask] == 0.0)
 
     def test_interp_resize_constant_map(self):
         x = constant(np.full((1, 2, 4, 4), 3.25))
