@@ -9,7 +9,6 @@ commands exit 0 on success and nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from .events import read_events
 from .harness import ablation, format_table, run_eval, timestep_sweep
-from .network import NetworkConfig, build, load_checkpoint, save_checkpoint
+from .network import (NetworkConfig, build, config_from_dict, load_checkpoint,
+                      save_checkpoint)
 from .optim import TrainConfig, train
 from .synthetic import SynthConfig, load_dataset, make_samples, save_dataset
 from .voxel import voxelize
@@ -107,19 +107,9 @@ def load_config(path):
     of a JSON file; an unknown key or a malformed section is a ValueError."""
     with open(path) as f:
         raw = json.load(f)
-    configs = []
-    for section, cls in (("network", NetworkConfig), ("train", TrainConfig)):
-        values = raw.get(section, {}) if isinstance(raw, dict) else None
-        if not isinstance(values, dict):
-            raise ValueError(f"{path}: section {section!r} must be a JSON object")
-        unknown = values.keys() - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"{path}: unknown key {min(unknown)!r} in section {section!r}")
-        try:
-            configs.append(cls(**values))
-        except TypeError as exc:
-            raise ValueError(f"{path}: section {section!r}: {exc}") from None
-    return tuple(configs)
+    return tuple(config_from_dict(cls, raw.get(section, {}) if isinstance(raw, dict) else None,
+                                  f"{path}: section {section!r}")
+                 for section, cls in (("network", NetworkConfig), ("train", TrainConfig)))
 
 
 def cmd_gen(args):

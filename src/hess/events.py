@@ -159,10 +159,3 @@ def _read_csv(path):
     height = int(arr[:, 1].max()) + 1
     return make_stream(width, height, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
-
-def last_window(stream: EventStream, t_end, max_events):
-    """The trailing window of at most max_events events with t <= t_end."""
-    ts = stream.events["t"]
-    stop = int(np.searchsorted(ts, t_end, side="right"))
-    start = max(0, stop - max_events)
-    return stream.slice(start, stop)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, charge, constant, narrow0, stack
+from .tensor import Tensor, charge, constant, fan_in_uniform, parameter
 from .voxel import ReferencePointSet
 
 
@@ -64,44 +64,35 @@ class CSFParams:
     b: Tensor
 
 
-def _uniform(rng, shape, fan_in):
-    limit = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
-def _zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
 def init_atw_params(c, reduction, k_points, rng) -> ATWParams:
     if c % reduction:
         raise ValueError(f"channels {c} not divisible by reduction {reduction}")
     cr = c // reduction
     return ATWParams(
-        w_down=_uniform(rng, (c, cr), c),
-        w_up=_uniform(rng, (cr, c), cr),
-        q_w=_uniform(rng, (c, c, 1, 1), c),
-        q_b=_zeros(c),
-        off_w=_uniform(rng, (2 * k_points, c, 1, 1), c),
-        off_b=_zeros(2 * k_points),
-        attw_w=_uniform(rng, (k_points, c, 1, 1), c),
-        attw_b=_zeros(k_points),
-        out_w=_zeros((c, c, 1, 1)),
-        out_b=_zeros(c))
+        w_down=fan_in_uniform(rng, (c, cr), c),
+        w_up=fan_in_uniform(rng, (cr, c), cr),
+        q_w=fan_in_uniform(rng, (c, c, 1, 1), c),
+        q_b=parameter(np.zeros(c)),
+        off_w=fan_in_uniform(rng, (2 * k_points, c, 1, 1), c),
+        off_b=parameter(np.zeros(2 * k_points)),
+        attw_w=fan_in_uniform(rng, (k_points, c, 1, 1), c),
+        attw_b=parameter(np.zeros(k_points)),
+        out_w=parameter(np.zeros((c, c, 1, 1))),
+        out_b=parameter(np.zeros(c)))
 
 
 def init_eds_params(c_snn, c_ann, k_points, rng) -> EDSParams:
     return EDSParams(
-        off_w=_uniform(rng, (2 * k_points, c_snn, 1, 1), c_snn),
-        off_b=_zeros(2 * k_points),
-        attw_w=_uniform(rng, (k_points, c_snn, 1, 1), c_snn),
-        attw_b=_zeros(k_points),
-        proj_w=_uniform(rng, (c_snn, c_ann, 1, 1), c_ann),
-        proj_b=_zeros(c_snn))
+        off_w=fan_in_uniform(rng, (2 * k_points, c_snn, 1, 1), c_snn),
+        off_b=parameter(np.zeros(2 * k_points)),
+        attw_w=fan_in_uniform(rng, (k_points, c_snn, 1, 1), c_snn),
+        attw_b=parameter(np.zeros(k_points)),
+        proj_w=fan_in_uniform(rng, (c_snn, c_ann, 1, 1), c_ann),
+        proj_b=parameter(np.zeros(c_snn)))
 
 
 def init_csf_params(c, rng) -> CSFParams:
-    return CSFParams(w=_uniform(rng, (c, c, 1, 1), c), b=_zeros(c))
+    return CSFParams(w=fan_in_uniform(rng, (c, c, 1, 1), c), b=parameter(np.zeros(c)))
 
 
 # -- adaptive temporal weighting ---------------------------------------------
@@ -175,19 +166,21 @@ def atw_apply(f_ann, f_snn, params: ATWParams):
 # -- event-driven sparse injection -------------------------------------------
 
 
-def eds_offsets(f_snn, params: EDSParams):
-    """Shared heads over every location and timestep.
+def eds_offsets(feats, params: EDSParams):
+    """The shared offset and weight heads on spike features gathered at
+    reference points, T*P*C.
 
-    Returns (offsets, weights): offsets N*T*K*2*H*W in feature-scale
-    pixels, weights N*T*K*H*W softmax-normalized over K.
+    Returns (offsets, weights): offsets T*P*2K, K (dy, dx) pairs in
+    feature-scale pixels; weights T*P*K, softmax-normalized over K.
     """
-    f_snn = constant(f_snn)
-    n, t, c, h, w = f_snn.shape
+    feats = constant(feats)
     k = params.k_points
-    flat = f_snn.reshape((n * t, c, h, w))
-    off = ops.conv2d(flat, params.off_w, params.off_b).reshape((n, t, k, 2, h, w))
-    attw = ops.softmax_axis(ops.conv2d(flat, params.attw_w, params.attw_b), axis=1)
-    return off, attw.reshape((n, t, k, h, w))
+    c = feats.shape[-1]
+    off = ops.linear(feats, params.off_w.reshape((2 * k, c)).transpose((1, 0)),
+                     params.off_b)
+    logits = ops.linear(feats, params.attw_w.reshape((k, c)).transpose((1, 0)),
+                        params.attw_b)
+    return off, ops.softmax_axis(logits, axis=2)
 
 
 def eds_inject(f_snn, f_ann, refs, params: EDSParams):
@@ -197,7 +190,8 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
     refs is one ReferencePointSet (batch of 1) or a list with one set per
     sample. The update at reference point r and timestep t is
     sum_k A_k * (proj(F_ann)[r + dr_k] * F_snn[t, r + dr_k]) with both
-    factors sampled bilinearly at the offset position.
+    factors sampled bilinearly at the offset position. All samples' points
+    go through the heads, the sampling and the scatter together.
     """
     f_snn, f_ann = constant(f_snn), constant(f_ann)
     n, t, c, h, w = f_snn.shape
@@ -207,38 +201,32 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
         refs = [refs] * n
     if len(refs) != n:
         raise ValueError("need one reference set per sample")
-    for r in refs:
-        if len(r) and (r.ys.max() >= h or r.xs.max() >= w or
-                       r.ys.min() < 0 or r.xs.min() < 0):
-            raise ValueError("reference point outside the feature geometry")
-    if all(len(r) == 0 for r in refs):
+    ys = np.concatenate([np.asarray(r.ys, dtype=np.int64) for r in refs])
+    xs = np.concatenate([np.asarray(r.xs, dtype=np.int64) for r in refs])
+    if np.any((ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)):
+        raise ValueError("reference point outside the feature geometry")
+    p = len(ys)
+    if p == 0:
         return f_snn
 
     k = params.k_points
-    off, attw = eds_offsets(f_snn, params)
+    sample = np.repeat(np.arange(n), [len(r) for r in refs])
+    # samples stacked along rows: integer positions never leave their sample
+    rows = sample * h + ys
+    stacked = f_snn.transpose((1, 2, 0, 3, 4)).reshape((t, c, n * h, w))
+    off, a = eds_offsets(ops.gather_pixels_many(stacked, rows, xs), params)
+    base = np.repeat(np.stack([ys, xs], axis=1).astype(np.float64), k, axis=0)
+    pts = constant(base) + off.reshape((t, p * k, 2))             # (T, P*K, 2)
+    which = np.repeat(sample, k)                                  # sample of each point
+    s_snn = ops.bilinear_sample_many(f_snn.reshape((n * t, c, h, w)), pts,
+                                     which * t + np.arange(t)[:, None])
     proj = ops.conv2d(f_ann, params.proj_w, params.proj_b)
-    deltas = []
-    for i in range(n):
-        r = refs[i]
-        p = len(r)
-        if p == 0:
-            deltas.append(constant(np.zeros((t, c, h, w))))
-            continue
-        base = np.repeat(np.stack([r.ys, r.xs], axis=1).astype(np.float64),
-                         k, axis=0)                                # (P*K, 2)
-        dr = ops.gather_pixels_many(
-            narrow0(off, i).reshape((t, k * 2, h, w)), r.ys, r.xs)  # (T, P, K*2)
-        pts = constant(base) + dr.reshape((t, p * k, 2))
-        a = ops.gather_pixels_many(narrow0(attw, i), r.ys, r.xs)    # (T, P, K)
-        s_snn = ops.bilinear_sample_many(narrow0(f_snn, i), pts)    # (T, P*K, C)
-        # the projected frame map is shared across timesteps
-        s_ann = ops.bilinear_sample(narrow0(proj, i),
-                                    pts.reshape((t * p * k, 2))).reshape((t, p * k, c))
-        mixed = ((s_ann * s_snn).reshape((t, p, k, c)) *
-                 a.reshape((t, p, k, 1))).sum(axis=2)               # (T, P, C)
-        charge(s_snn.size)                                          # the K-point mix
-        deltas.append(ops.scatter_points_many(mixed, r.ys, r.xs, (h, w)))
-    return f_snn + stack(deltas, axis=0)
+    s_ann = ops.bilinear_sample_many(proj, pts, which)            # (T, P*K, C)
+    mixed = ((s_ann * s_snn).reshape((t, p, k, c)) *
+             a.reshape((t, p, k, 1))).sum(axis=2)                 # (T, P, C)
+    charge(s_snn.size)                                            # the K-point mix
+    delta = ops.scatter_points_many(mixed, rows, xs, (n * h, w))
+    return f_snn + delta.reshape((t, c, n, h, w)).transpose((2, 0, 1, 3, 4))
 
 
 # -- channel selection fusion -------------------------------------------------

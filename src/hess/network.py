@@ -25,7 +25,8 @@ import numpy as np
 
 from . import fusion, ops
 from .spiking import LIFConfig, lif_forward_seq
-from .tensor import Tensor, constant, cost_scope, no_grad, take_axis
+from .tensor import (Tensor, constant, cost_scope, fan_in_uniform, no_grad,
+                     parameter, take_axis)
 from .voxel import VoxelGrid, downsample_voxel, extract_reference_points, znorm
 
 CHECKPOINT_MAGIC = b"HESS"
@@ -55,6 +56,9 @@ class NetworkConfig:
             raise ValueError("timesteps and bins must be >= 1")
         if not self.scales:
             raise ValueError("need at least one scale")
+        if any(isinstance(v, bool) or not isinstance(v, int)
+               for scale in self.scales for v in scale):
+            raise ValueError("scale factors and channel widths must be integers")
         prev = 1
         for factor, channels in self.scales:
             if factor <= prev and prev != 1:
@@ -74,12 +78,36 @@ class NetworkConfig:
                          surrogate_alpha=self.surrogate_alpha)
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "tuple": (list, tuple)}
+
+
+def config_from_dict(cls, values, where):
+    """cls(**values) for a config dataclass read from JSON (a config file
+    section or a checkpoint's config). An unknown key, a value of the
+    wrong JSON type or a value the class rejects is a ValueError naming
+    ``where``."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = values.keys() - types.keys()
+    if unknown:
+        raise ValueError(f"{where}: unknown key {min(unknown)!r}")
+    for key, value in values.items():
+        if (isinstance(value, bool) != (types[key] == "bool")
+                or not isinstance(value, _JSON_TYPES[types[key]])):
+            raise ValueError(f"{where}: {key!r} must be {types[key]}, got {value!r}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 @dataclass
 class _Stage:
     ann_w: Tensor
     ann_b: Tensor
-    gamma: Tensor
-    beta: Tensor
+    norm_gamma: Tensor
+    norm_beta: Tensor
     snn_w: Tensor
     snn_b: Tensor
     stride: int
@@ -117,28 +145,19 @@ def build(config: NetworkConfig) -> HybridNetwork:
     rng = np.random.default_rng(config.seed)
     net = HybridNetwork(config)
     reg = net.params
-
-    def param(name, data):
-        reg[name] = Tensor(data, requires_grad=True)
-        return reg[name]
-
-    def uniform(name, shape, fan_in):
-        limit = 1.0 / np.sqrt(fan_in)
-        return param(name, rng.uniform(-limit, limit, size=shape))
-
     prev_factor = 1
     ann_cin = config.input_channels
     snn_cin = 1   # one voxel bin per timestep
     for i, (factor, c) in enumerate(config.scales):
-        stride = factor // prev_factor
         stage = _Stage(
-            ann_w=uniform(f"stage{i}.ann.w", (c, ann_cin, 3, 3), ann_cin * 9),
-            ann_b=param(f"stage{i}.ann.b", np.zeros(c)),
-            gamma=param(f"stage{i}.norm.gamma", np.ones(c)),
-            beta=param(f"stage{i}.norm.beta", np.zeros(c)),
-            snn_w=uniform(f"stage{i}.snn.w", (c, snn_cin, 3, 3), snn_cin * 9),
-            snn_b=param(f"stage{i}.snn.b", np.zeros(c)),
-            stride=stride)
+            ann_w=fan_in_uniform(rng, (c, ann_cin, 3, 3), ann_cin * 9),
+            ann_b=parameter(np.zeros(c)),
+            norm_gamma=parameter(np.ones(c)),
+            norm_beta=parameter(np.zeros(c)),
+            snn_w=fan_in_uniform(rng, (c, snn_cin, 3, 3), snn_cin * 9),
+            snn_b=parameter(np.zeros(c)),
+            stride=factor // prev_factor)
+        _register(reg, f"stage{i}", stage)
         net.stages.append(stage)
         if config.atw_on:
             p = fusion.init_atw_params(c, config.adaptor_ratio, config.k_points, rng)
@@ -160,20 +179,24 @@ def build(config: NetworkConfig) -> HybridNetwork:
 
     c_head = config.scales[0][1]
     for i, (_, c) in enumerate(config.scales):
-        w = uniform(f"head.lateral{i}.w", (c_head, c, 1, 1), c)
-        b = param(f"head.lateral{i}.b", np.zeros(c_head))
+        w = reg[f"head.lateral{i}.w"] = fan_in_uniform(rng, (c_head, c, 1, 1), c)
+        b = reg[f"head.lateral{i}.b"] = parameter(np.zeros(c_head))
         net.lateral.append((w, b))
-    net.cls_w = uniform("head.cls.w", (config.num_classes, c_head, 1, 1), c_head)
-    net.cls_b = param("head.cls.b", np.zeros(config.num_classes))
+    net.cls_w = reg["head.cls.w"] = fan_in_uniform(
+        rng, (config.num_classes, c_head, 1, 1), c_head)
+    net.cls_b = reg["head.cls.b"] = parameter(np.zeros(config.num_classes))
     return net
 
 
 def _register(reg, prefix, params):
     """Add a block's tensors in field order: field q_w becomes <prefix>.q.w;
-    the adaptor's w_down / w_up keep their names."""
+    the adaptor's w_down / w_up keep their names; other fields (a stage's
+    stride) are skipped."""
     for f in fields(params):
-        suffix = f.name if f.name.startswith("w_") else f.name.replace("_", ".")
-        reg[f"{prefix}.{suffix}"] = getattr(params, f.name)
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            suffix = f.name if f.name.startswith("w_") else f.name.replace("_", ".")
+            reg[f"{prefix}.{suffix}"] = value
 
 
 def _voxel_batch(voxel, h, w):
@@ -232,7 +255,7 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
     for i, (stage, (factor, c)) in enumerate(zip(net.stages, cfg.scales)):
         with cost_scope(f"stage{i}.ann"):
             a_pre = ops.conv2d(ann, stage.ann_w, stage.ann_b, stride=stage.stride, pad=1)
-        a = ops.group_norm(a_pre, stage.gamma, stage.beta).relu()
+        a = ops.group_norm(a_pre, stage.norm_gamma, stage.norm_beta).relu()
         if events_on:
             with cost_scope(f"stage{i}.snn", kind="snn"):
                 currents = [ops.conv2d(x, stage.snn_w, stage.snn_b,
@@ -346,8 +369,8 @@ def load_checkpoint(path):
     version, cfg_len = unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    cfg_dict = json.loads(take(cfg_len).decode())
-    net = build(NetworkConfig(**cfg_dict))
+    net = build(config_from_dict(NetworkConfig, json.loads(take(cfg_len).decode()),
+                                 f"{path}: config"))
     (n_params,) = unpack("<Q")
     if n_params != len(net.params):
         raise ValueError(f"{path}: parameter count mismatch")

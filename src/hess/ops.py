@@ -93,7 +93,11 @@ def linear(x, w, b=None):
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"linear dimension mismatch: x trailing {x.shape[-1]}, W rows {w.shape[0]}")
     lead = x.shape[:-1]
-    y = x.data.reshape(-1, x.shape[-1]) @ w.data
+    # one vector-matrix product per row: a row's result does not depend on
+    # how many rows share the call (a single GEMM rounds differently for
+    # different row counts), so a batch gives each sample's own values
+    rows = x.data.reshape(-1, 1, x.shape[-1])
+    y = np.matmul(rows, w.data)[:, 0]
     if b is not None:
         b = constant(b)
         if b.shape != (w.shape[1],):
@@ -138,21 +142,33 @@ def global_avg_pool(x):
     return tmean(x, axis=(2, 3))
 
 
-def bilinear_sample_many(maps, points):
-    """Sample M maps (M*C*H*W) at per-map fractional positions (M*P*2),
-    giving M*P*C. Vectorized core shared by the single-map wrapper.
+def bilinear_sample_many(maps, points, index=None):
+    """Sample M maps (M*C*H*W) at fractional positions (R*P*2), giving
+    R*P*C.
 
-    Integer coordinates address texel centers; texels outside a map
-    contribute zero (border-zero). Differentiable in both the maps and
-    the sampling positions.
+    index (integers broadcastable to R*P) names the map each point reads;
+    by default row r reads map r (R = M). Integer coordinates address
+    texel centers; texels outside a map contribute zero (border-zero).
+    Differentiable in both the maps and the sampling positions.
     """
     maps, points = constant(maps), constant(points)
     if maps.ndim != 4 or points.ndim != 3 or points.shape[2] != 2:
-        raise ValueError("bilinear_sample_many expects M*C*H*W maps and M*P*2 points")
+        raise ValueError("bilinear_sample_many expects M*C*H*W maps and R*P*2 points")
     m, c, h, w = maps.shape
-    p = points.shape[1]
-    flat = np.ascontiguousarray(maps.data.transpose(0, 2, 3, 1)).reshape(m * h * w, c)
-    base = (np.arange(m, dtype=np.int64) * (h * w))[:, None]
+    r, p = points.shape[:2]
+    if index is None:
+        if r != m:
+            raise ValueError("without a map index, need one row of points per map")
+        index = np.arange(m)[:, None]
+    index = np.broadcast_to(np.asarray(index, dtype=np.int64), (r, p))
+    if np.any((index < 0) | (index >= m)):
+        raise ValueError("map index outside the maps")
+    # texel rows of all maps, then one zero row that out-of-map corners
+    # read, so they add exactly +0 whatever the maps hold
+    flat = np.empty((m * h * w + 1, c), dtype=maps.data.dtype)
+    flat[:-1].reshape(m, h, w, c)[...] = maps.data.transpose(0, 2, 3, 1)
+    flat[-1] = 0
+    base = index * (h * w)
     y = points.data[:, :, 0]
     x = points.data[:, :, 1]
     y0 = np.floor(y).astype(np.int64)
@@ -167,11 +183,10 @@ def bilinear_sample_many(maps, points):
         (y0 + 1, x0 + 1, fy * fx),
     ):
         valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        idx = np.where(valid, base + yy * w + xx, 0)
-        val = flat[idx] * valid[:, :, None]                # (M, P, C)
-        corners.append((idx, valid, wt, val))
-    out_data = corners[0][2][:, :, None] * corners[0][3]
-    for (_, _, wt, val) in corners[1:]:
+        idx = np.where(valid, base + yy * w + xx, m * h * w)
+        corners.append((idx, wt, flat[idx]))               # val: (R, P, C)
+    out_data = corners[0][1][:, :, None] * corners[0][2]
+    for (_, wt, val) in corners[1:]:
         out_data += wt[:, :, None] * val
     out = Tensor(out_data)
     charge(4 * out_data.size)    # one MAC per corner
@@ -180,13 +195,13 @@ def bilinear_sample_many(maps, points):
         dmaps = None
         if maps.requires_grad:
             dflat = np.zeros_like(flat)
-            for (idx, valid, wt, _) in corners:
+            for (idx, wt, _) in corners:
                 _scatter_add_rows(dflat, idx.reshape(-1),
-                                  (g * (wt * valid)[:, :, None]).reshape(m * p, c))
-            dmaps = dflat.reshape(m, h, w, c).transpose(0, 3, 1, 2)
+                                  (g * wt[:, :, None]).reshape(r * p, c))
+            dmaps = dflat[:-1].reshape(m, h, w, c).transpose(0, 3, 1, 2)
         dpts = None
         if points.requires_grad:
-            v00, v01, v10, v11 = (cr[3] for cr in corners)
+            v00, v01, v10, v11 = (cr[2] for cr in corners)
             ddy = (v10 - v00) * (1 - fx)[:, :, None] + (v11 - v01) * fx[:, :, None]
             ddx = (v01 - v00) * (1 - fy)[:, :, None] + (v11 - v10) * fy[:, :, None]
             dpts = np.stack([(g * ddy).sum(axis=2), (g * ddx).sum(axis=2)], axis=2)
@@ -194,16 +209,6 @@ def bilinear_sample_many(maps, points):
 
     record_op([out], [maps, points], backward)
     return out
-
-
-def bilinear_sample(map_, points):
-    """Sample a C*H*W map at K fractional (y, x) positions, giving K*C."""
-    map_, points = constant(map_), constant(points)
-    if map_.ndim != 3 or points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("bilinear_sample expects C*H*W map and K*2 points")
-    out = bilinear_sample_many(map_.reshape((1,) + map_.shape),
-                               points.reshape((1,) + points.shape))
-    return out.reshape(out.shape[1:])
 
 
 def gather_pixels_many(maps, iy, ix):

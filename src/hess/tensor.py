@@ -204,22 +204,22 @@ class Tensor:
             if rec.released:
                 continue
             grads_out = [o.grad for o in rec.outputs]
-            if all(g is None for g in grads_out):
-                rec.released = True
-                continue
-            grads_in = rec.backward(*grads_out)
-            for parent, g in zip(rec.parents, grads_in):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.array(g)   # copy: g may alias saved buffers
-                else:
-                    parent.grad += g
-            for o in rec.outputs:
-                if o._record is not None:
+            if any(g is not None for g in grads_out):
+                grads_in = rec.backward(*grads_out)
+                for parent, g in zip(rec.parents, grads_in):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if parent.grad is None:
+                        parent.grad = np.array(g)   # copy: g may alias saved buffers
+                    else:
+                        parent.grad += g
+                for o in rec.outputs:
                     o.grad = None  # intermediates: free once consumed
+            # each output points back at its record: dropping the record's
+            # references breaks that cycle, so the step's graph is freed by
+            # reference counting as soon as the caller drops the loss
             rec.released = True
-            rec.backward = None
+            rec.outputs = rec.parents = rec.backward = None
         _tape.clear()
 
     # -- arithmetic --------------------------------------------------------
@@ -283,6 +283,12 @@ def constant(data):
 
 def parameter(data):
     return Tensor(data, requires_grad=True)
+
+
+def fan_in_uniform(rng, shape, fan_in):
+    """A parameter drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    limit = 1.0 / np.sqrt(fan_in)
+    return parameter(rng.uniform(-limit, limit, size=shape))
 
 
 def record_op(outputs, parents, backward):
@@ -439,19 +445,6 @@ def stack(tensors, axis=0):
         return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
     return _single(out_data, tensors, backward)
-
-
-def narrow0(a, index):
-    """a[index] along the leading axis (drops the axis)."""
-    a = constant(a)
-    out_data = np.ascontiguousarray(a.data[index])
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return _single(out_data, [a], backward)
 
 
 def take_axis(a, axis, index):

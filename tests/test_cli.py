@@ -5,6 +5,7 @@ import pytest
 
 from hess.cli import main
 from hess.events import write_events
+from hess.network import NetworkConfig, build, save_checkpoint
 from hess.synthetic import SynthConfig, load_dataset, make_samples
 
 
@@ -93,6 +94,23 @@ class TestCLI:
         assert main(["eval", "--ckpt", str(ckpt),
                      "--data", str(workspace / "test")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eval_corrupted_checkpoint_config_fails_cleanly(self, workspace, tmp_path,
+                                                            capsys):
+        ckpt = tmp_path / "flipped.hess"
+        save_checkpoint(build(NetworkConfig(scales=((2, 4),), k_points=1)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"adaptor_ratio"', b'"bdaptor_ratio"'))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "test")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'bdaptor_ratio'" in err
+
+    def test_train_rejects_mistyped_config_value(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"network": {"k_points": 2.5}}))
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'k_points' must be int" in err
 
     @pytest.mark.parametrize("section", ["network", "train"])
     def test_train_rejects_unknown_config_key(self, workspace, tmp_path, capsys, section):

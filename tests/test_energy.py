@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hess import ops, tensor
+from hess import fusion, ops, tensor
 from hess.energy import (BASELINE_ROWS, EnergyReport, LayerCost,
                          count_snn_synops, energy_total,
                          fit_energy_coefficients, profile)
@@ -14,6 +14,7 @@ from hess.network import NetworkConfig, build, forward
 from hess.optim import prepare_batches
 from hess.synthetic import SynthConfig, make_samples
 from hess.tensor import cost_scope, count_macs, no_grad
+from hess.voxel import ReferencePointSet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -81,6 +82,24 @@ class TestCounts:
 
     def test_linear(self):
         assert counted_macs(ops.linear, np.ones((1, 10)), np.ones((10, 5))) == 50
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_eds_closed_form(self, n):
+        # projection over every pixel; heads (2K offsets + K weights) and
+        # sampling + mixing (4 + 4 + 1 per point) only at the P reference
+        # points, in the same six charged calls whatever the batch size
+        t, c, c_ann, k, h, w = 3, 4, 5, 2, 6, 7
+        g = np.random.default_rng(3)
+        p = fusion.init_eds_params(c, c_ann, k, g)
+        refs = [ReferencePointSet(np.array([0, 2, 5][:3 - i]), np.array([1, 6, 3][:3 - i]),
+                                  1, h, w) for i in range(n)]
+        with count_macs() as counts, cost_scope("eds"):
+            fusion.eds_inject(g.random((n, t, c, h, w)), g.normal(size=(n, c_ann, h, w)),
+                              refs, p)
+        pts = sum(len(r) for r in refs)
+        assert counts["eds"]["macs"] == (n * h * w * c * c_ann + t * pts * 3 * k * c
+                                         + 9 * t * pts * k * c)
+        assert counts["eds"]["calls"] == 6
 
     def test_synops_zero_rate(self):
         assert count_snn_synops(55_296, 0.0, 5) == 0
@@ -225,10 +244,10 @@ class TestCountedProfile:
         report = profile(net, samples)
         by_name = {l.name: l for l in report.layers}
         assert by_name["atw0"].macs == 1_049_216
-        assert by_name["eds0"].macs == 1_379_680
+        assert by_name["eds0"].macs == 441_472
         assert by_name["csf0"].macs == 524_288
-        assert report.gflops_ann == 0.010030368
-        assert report.e_total_mj == 0.04684247471999999    # 0.04684247472
+        assert report.gflops_ann == 0.008454144
+        assert report.e_total_mj == 0.03959184432
 
     def test_counting_leaves_logits_bitwise_equal(self):
         net, samples = default_profile_setup()

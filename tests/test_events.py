@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hess.events import EventStream, last_window, make_stream, read_events, write_events
+from hess.events import EventStream, make_stream, read_events, write_events
 from hess.imgio import colorize_labels, read_pgm, read_ppm, write_pgm, write_ppm
 from hess.synthetic import (CONTRAST_THRESHOLD, SynthConfig, build_scene,
                             gen_synthetic, load_dataset, make_samples,
@@ -79,10 +79,16 @@ class TestEventIO:
             make_stream(8, 8, [1], [1], [10], [0])
 
     def test_last_window(self):
-        s = random_stream(4, n=100, t_max=1000)
-        w = last_window(s, 500, 20)
-        assert len(w) <= 20
-        assert np.all(w.ts <= 500)
+        # a sample keeps the most recent max_events events of its window
+        cfg = SynthConfig(width=16, height=16, frame_count=3, num_shapes=1,
+                          min_size=5, max_size=8, duration_us=10_000)
+        full = make_samples(4, cfg, max_events=10**9)
+        capped = make_samples(4, cfg, max_events=20)
+        assert max(len(s.events) for s in full) > 20
+        for f, c in zip(full, capped):
+            assert len(c.events) == min(20, len(f.events))
+            assert np.array_equal(c.events.events, f.events.events[len(f.events) - len(c.events):])
+            assert np.all((c.events.ts > c.t_lo) & (c.events.ts <= c.t_hi))
 
 
 class TestImgIO:

@@ -6,7 +6,7 @@ from hess.fusion import (ATWParams, CSFParams, EDSParams, atw_apply,
                          atw_collapse, atw_inject, atw_temporal_weights,
                          csf_fuse, csf_select, eds_inject, eds_offsets,
                          init_atw_params, init_csf_params, init_eds_params)
-from hess.tensor import Tensor, constant, grad_check, no_grad, parameter
+from hess.tensor import Tensor, constant, grad_check, no_grad, parameter, using_dtype
 from hess.voxel import ReferencePointSet
 
 
@@ -166,33 +166,33 @@ def bilinear_ref(chw, y, x):
 
 
 class TestEDSOffsets:
+    """The heads run on spike features gathered at reference points, T*P*C."""
+
     def test_zero_input_zero_offsets(self):
         p = init_eds_params(4, 6, 4, rng(11))
-        off, attw = eds_offsets(constant(np.zeros((1, 3, 4, 5, 5))), p)
-        assert np.all(off.data == 0.0)
+        off, attw = eds_offsets(constant(np.zeros((3, 7, 4))), p)
+        assert off.shape == (3, 7, 8) and np.all(off.data == 0.0)
         assert np.allclose(attw.data, 0.25, atol=1e-15)
 
     def test_weights_normalized_everywhere(self):
         p = init_eds_params(3, 3, 5, rng(12))
-        f = constant((rng(13).random((2, 2, 3, 4, 4)) > 0.5).astype(float))
+        f = constant((rng(13).random((2, 9, 3)) > 0.5).astype(float))
         _, attw = eds_offsets(f, p)
         assert np.all(np.abs(attw.data.sum(axis=2) - 1.0) <= 1e-12)
 
     def test_matches_loop_oracle(self):
         g = rng(14)
         p = init_eds_params(2, 2, 3, g)
-        f = g.random((1, 2, 2, 3, 3))
+        f = g.random((2, 5, 2))
         off, attw = eds_offsets(constant(f), p)
         for t in range(2):
-            for y in range(3):
-                for x in range(3):
-                    feat = f[0, t, :, y, x]
-                    ref_off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
-                    logits = p.attw_w.data[:, :, 0, 0] @ feat + p.attw_b.data
-                    e = np.exp(logits - logits.max())
-                    assert np.max(np.abs(off.data[0, t, :, :, y, x].reshape(-1)
-                                         - ref_off)) <= 1e-12
-                    assert np.max(np.abs(attw.data[0, t, :, y, x] - e / e.sum())) <= 1e-12
+            for i in range(5):
+                feat = f[t, i]
+                ref_off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
+                logits = p.attw_w.data[:, :, 0, 0] @ feat + p.attw_b.data
+                e = np.exp(logits - logits.max())
+                assert np.max(np.abs(off.data[t, i] - ref_off)) <= 1e-12
+                assert np.max(np.abs(attw.data[t, i] - e / e.sum())) <= 1e-12
 
 
 class TestEDSInject:
@@ -252,6 +252,56 @@ class TestEDSInject:
         a = eds_inject(f_snn, f_ann, refs, p)
         b = eds_inject(f_snn, f_ann, refs, p2)
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
+
+    def test_matches_loop_oracle(self):
+        g = rng(29)
+        n, t, c, c_ann, k, h, w = 2, 2, 3, 2, 2, 5, 4
+        p = init_eds_params(c, c_ann, k, g)
+        p.off_b = parameter(g.uniform(-1.5, 1.5, size=2 * k))
+        p.proj_b = parameter(g.normal(size=c) * 0.1)
+        f_snn = g.random((n, t, c, h, w))
+        f_ann = g.normal(size=(n, c_ann, h, w))
+        refs = [make_refs([0, 4, 2], [3, 0, 1], h, w), make_refs([1], [2], h, w)]
+        out = eds_inject(constant(f_snn), constant(f_ann), refs, p)
+
+        # independent loop re-derivation, one sample and point at a time
+        ref = f_snn.copy()
+        for i in range(n):
+            proj = np.einsum("oc,chw->ohw", p.proj_w.data[:, :, 0, 0], f_ann[i]) \
+                + p.proj_b.data[:, None, None]
+            for y, x in zip(refs[i].ys, refs[i].xs):
+                for ti in range(t):
+                    feat = f_snn[i, ti, :, y, x]
+                    off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
+                    logits = p.attw_w.data[:, :, 0, 0] @ feat + p.attw_b.data
+                    a = np.exp(logits - logits.max())
+                    a /= a.sum()
+                    for kk in range(k):
+                        py, px = y + off[2 * kk], x + off[2 * kk + 1]
+                        ref[i, ti, :, y, x] += a[kk] * (bilinear_ref(proj, py, px) *
+                                                        bilinear_ref(f_snn[i, ti], py, px))
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_equals_each_sample_alone(self, dtype):
+        # samples with P, 0 and Q points: the batched pass neither mixes
+        # samples nor rounds differently from running each one alone
+        g = rng(28)
+        f_snn = (g.random((3, 2, 3, 6, 5)) > 0.5).astype(dtype)
+        f_ann = g.normal(size=(3, 4, 6, 5)).astype(dtype)
+        refs = [make_refs([0, 2, 5, 3], [1, 4, 0, 3], 6, 5),
+                make_refs([], [], 6, 5),
+                make_refs([5, 1], [4, 0], 6, 5)]
+        with using_dtype(dtype):
+            p = init_eds_params(3, 4, 2, g)
+            p.off_b = parameter(g.uniform(-1.5, 1.5, size=4))
+            batch = eds_inject(constant(f_snn), constant(f_ann), refs, p).data
+            alone = [eds_inject(constant(f_snn[i:i + 1]), constant(f_ann[i:i + 1]),
+                                refs[i], p).data for i in range(3)]
+        assert batch.dtype == dtype
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
+        assert not np.array_equal(batch[0], f_snn[0])
+        assert np.array_equal(batch[1], f_snn[1])
 
     def test_out_of_geometry_reference_rejected(self):
         p = init_eds_params(2, 2, 1, rng(19))

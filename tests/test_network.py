@@ -54,6 +54,8 @@ class TestBuild:
             NetworkConfig(scales=((2, 8), (3, 8)))
         with pytest.raises(ValueError, match="at least one scale"):
             NetworkConfig(scales=())
+        with pytest.raises(ValueError, match="integers"):
+            NetworkConfig(scales=((2.0, 8), (4, 8)))
 
     def test_zero_initialized_injection_heads(self):
         net = small_net()
@@ -292,6 +294,19 @@ class TestCheckpoint:
                 load_checkpoint(cut)
         cut.write_bytes(data)
         load_checkpoint(cut)
+
+    @pytest.mark.parametrize("old,new", [
+        (b'"adaptor_ratio"', b'"bdaptor_ratio"'),   # one flipped byte in a key
+        (b'"tau": 2.0', b'"tau": "2"'),             # a string for a float
+        (b'"atw_on": true', b'"atw_on": 1   ')])    # a number for a bool
+    def test_corrupted_config_raises_value_error(self, tmp_path, old, new):
+        p = tmp_path / "net.hess"
+        save_checkpoint(small_net(18), p)
+        data = p.read_bytes()
+        assert data.count(old) == 1 and len(old) == len(new)
+        p.write_bytes(data.replace(old, new))
+        with pytest.raises(ValueError, match="net.hess: config"):
+            load_checkpoint(p)
 
     def test_loaded_parameters_are_writable(self, tmp_path):
         p = tmp_path / "net.hess"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,17 @@ class TestPoolAndSample:
         y = ops.global_avg_pool(constant(np.full((2, 3, 4, 4), 1.5)))
         assert np.allclose(y.data, 1.5)
 
+    def test_linear_row_independent_of_row_count(self):
+        g = rng(19)
+        for dtype in (np.float64, np.float32):
+            x = g.normal(size=(40, 16)).astype(dtype)
+            w = constant(g.normal(size=(16, 12)).astype(dtype))
+            b = constant(g.normal(size=12).astype(dtype))
+            full = ops.linear(constant(x), w, b).data
+            for lo, hi in ((0, 1), (3, 4), (5, 12), (7, 40)):
+                part = ops.linear(constant(x[lo:hi]), w, b).data
+                assert part.tobytes() == full[lo:hi].tobytes()
+
     def test_global_avg_pool_hand(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         assert ops.global_avg_pool(constant(x)).item() == 2.5
@@ -131,28 +145,48 @@ class TestPoolAndSample:
 
     def test_bilinear_integer_point(self):
         m = rng(11).normal(size=(3, 6, 7))
-        y = ops.bilinear_sample(constant(m), constant([[2.0, 4.0]]))
-        assert np.allclose(y.data[0], m[:, 2, 4])
+        y = ops.bilinear_sample_many(constant(m[None]), constant([[[2.0, 4.0]]]))
+        assert np.allclose(y.data[0, 0], m[:, 2, 4])
 
     def test_bilinear_midpoint(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2)
-        y = ops.bilinear_sample(constant(m), constant([[0.5, 0.5]]))
+        m = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        y = ops.bilinear_sample_many(constant(m), constant([[[0.5, 0.5]]]))
         assert np.allclose(y.item(), 2.5)
 
     def test_bilinear_far_outside_is_zero(self):
-        m = constant(rng(12).normal(size=(2, 4, 4)))
-        y = ops.bilinear_sample(m, constant([[-5.0, -5.0]]))
+        m = constant(rng(12).normal(size=(1, 2, 4, 4)))
+        y = ops.bilinear_sample_many(m, constant([[[-5.0, -5.0]]]))
         assert np.all(y.data == 0.0)
 
     def test_bilinear_linear_in_map(self):
         g = rng(13)
-        m1, m2 = g.normal(size=(2, 5, 5)), g.normal(size=(2, 5, 5))
-        pts = constant(g.uniform(-1, 5, size=(10, 2)))
+        m1, m2 = g.normal(size=(1, 2, 5, 5)), g.normal(size=(1, 2, 5, 5))
+        pts = constant(g.uniform(-1, 5, size=(1, 10, 2)))
         a, b = 1.7, -0.4
-        lhs = ops.bilinear_sample(constant(a * m1 + b * m2), pts)
-        rhs = a * ops.bilinear_sample(constant(m1), pts).data + \
-            b * ops.bilinear_sample(constant(m2), pts).data
+        lhs = ops.bilinear_sample_many(constant(a * m1 + b * m2), pts)
+        rhs = a * ops.bilinear_sample_many(constant(m1), pts).data + \
+            b * ops.bilinear_sample_many(constant(m2), pts).data
         assert np.allclose(lhs.data, rhs, atol=1e-12)
+
+    def test_bilinear_map_index(self):
+        # each point reads the map its index names, border-zero there
+        g = rng(16)
+        maps = parameter(g.normal(size=(3, 2, 4, 5)))
+        pts = parameter(g.uniform(-1.4, 5.4, size=(2, 7, 2)).round(1) + 0.03)
+        which = g.integers(0, 3, size=(2, 7))
+        got = ops.bilinear_sample_many(maps, pts, which)
+        for r in range(2):
+            for j in range(7):
+                alone = ops.bilinear_sample_many(constant(maps.data[which[r, j]][None]),
+                                                 constant(pts.data[r, j][None, None]))
+                assert got.data[r, j].tobytes() == alone.data[0, 0].tobytes()
+        wgt = constant(g.normal(size=(2, 7, 2)))
+        assert grad_check(lambda: (ops.bilinear_sample_many(maps, pts, which) * wgt).sum(),
+                          [maps, pts], eps=1e-6) <= 1e-4
+        with pytest.raises(ValueError, match="map index"):
+            ops.bilinear_sample_many(maps, pts, np.full((2, 7), 3))
+        with pytest.raises(ValueError, match="one row of points per map"):
+            ops.bilinear_sample_many(maps, pts)
 
     def test_gather_scatter_roundtrip(self):
         g = rng(14)
@@ -197,6 +231,23 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError, match="released"):
             loss.backward()
+
+    def test_graph_freed_without_cyclic_gc(self):
+        # a replayed record lets go of its outputs, parents and closure, so
+        # reference counting alone frees the graph once the loss is dropped
+        gc.disable()
+        try:
+            x = parameter(rng(18).normal(size=(4, 3)))
+            h = (x * 2.0).sigmoid()
+            side = h.exp()          # recorded but not on the loss path
+            loss = (h * h).sum()
+            probes = [weakref.ref(h.data), weakref.ref(side.data)]
+            loss.backward()
+            del h, side, loss
+            assert [p() for p in probes] == [None, None]
+            assert x.grad is not None
+        finally:
+            gc.enable()
 
     def test_unrecorded_loss_raises(self):
         with no_grad():
@@ -252,14 +303,14 @@ class TestGradCheck:
     @pytest.mark.parametrize("seed", range(6))
     def test_sampling_and_resize_grads(self, seed):
         g = rng(200 + seed)
-        m = parameter(g.normal(size=(2, 5, 5)))
+        m = parameter(g.normal(size=(1, 2, 5, 5)))
         # keep sampling positions away from the integer lattice: bilinear
         # interpolation has derivative kinks there
-        pts = parameter(g.uniform(0.2, 3.8, size=(6, 2)).round(1) + 0.13)
-        wgt = parameter(g.normal(size=(6, 2)))
+        pts = parameter(g.uniform(0.2, 3.8, size=(1, 6, 2)).round(1) + 0.13)
+        wgt = parameter(g.normal(size=(1, 6, 2)))
 
         def fn():
-            s = ops.bilinear_sample(m, pts)
+            s = ops.bilinear_sample_many(m, pts)
             return (s * wgt).sum()
 
         assert grad_check(fn, [m, pts, wgt], eps=1e-6) <= 1e-4
@@ -328,9 +379,9 @@ class TestGradCheck:
                           * ops.linear(x, w, b).exp()).sum()
             params = [x, w, b]
         elif kind == 2:
-            m = parameter(g.normal(size=(2, 4, 4)))
-            pts = parameter(g.uniform(0.3, 2.7, size=(5, 2)))
-            fn = lambda: (ops.bilinear_sample(m, pts) ** 2.0).sum()
+            m = parameter(g.normal(size=(1, 2, 4, 4)))
+            pts = parameter(g.uniform(0.3, 2.7, size=(1, 5, 2)))
+            fn = lambda: (ops.bilinear_sample_many(m, pts) ** 2.0).sum()
             params = [m, pts]
         else:
             x = parameter(g.normal(size=(1, 3, 4, 4)))
