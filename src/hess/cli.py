@@ -186,22 +186,21 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep(args):
-    net_cfg, train_cfg = load_config(args.config)
-    train_samples, _ = load_dataset(args.data)
-    test_samples, _ = load_dataset(args.test_data)
     t_list = [int(v) for v in args.list.split(",") if v]
-    rows = timestep_sweep(net_cfg, train_cfg, train_samples, test_samples, t_list)
-    print(format_table(rows))
-    if args.report:
-        with open(args.report, "w") as f:
-            json.dump(rows, f, indent=1)
+    _run_harness(args, timestep_sweep, t_list=t_list)
 
 
 def cmd_ablate(args):
+    _run_harness(args, ablation)
+
+
+def _run_harness(args, harness, **kwargs):
+    """Train and evaluate the harness's models on the --data / --test-data
+    sets, print their table and write it to --report as JSON."""
     net_cfg, train_cfg = load_config(args.config)
     train_samples, _ = load_dataset(args.data)
     test_samples, _ = load_dataset(args.test_data)
-    rows = ablation(net_cfg, train_cfg, train_samples, test_samples)
+    rows = harness(net_cfg, train_cfg, train_samples, test_samples, **kwargs)
     print(format_table(rows))
     if args.report:
         with open(args.report, "w") as f:

@@ -211,22 +211,20 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
 
     k = params.k_points
     sample = np.repeat(np.arange(n), [len(r) for r in refs])
-    # samples stacked along rows: integer positions never leave their sample
-    rows = sample * h + ys
-    stacked = f_snn.transpose((1, 2, 0, 3, 4)).reshape((t, c, n * h, w))
-    off, a = eds_offsets(ops.gather_pixels_many(stacked, rows, xs), params)
+    # map n*T + t of the (N*T)*C*H*W view is sample n at timestep t
+    maps = f_snn.reshape((n * t, c, h, w))
+    index = sample * t + np.arange(t)[:, None]                    # (T, P)
+    off, a = eds_offsets(ops.gather_pixels_many(maps, ys, xs, index), params)
     base = np.repeat(np.stack([ys, xs], axis=1).astype(np.float64), k, axis=0)
     pts = constant(base) + off.reshape((t, p * k, 2))             # (T, P*K, 2)
-    which = np.repeat(sample, k)                                  # sample of each point
-    s_snn = ops.bilinear_sample_many(f_snn.reshape((n * t, c, h, w)), pts,
-                                     which * t + np.arange(t)[:, None])
+    s_snn = ops.bilinear_sample_many(maps, pts, np.repeat(index, k, axis=1))
     proj = ops.conv2d(f_ann, params.proj_w, params.proj_b)
-    s_ann = ops.bilinear_sample_many(proj, pts, which)            # (T, P*K, C)
+    s_ann = ops.bilinear_sample_many(proj, pts, np.repeat(sample, k))  # (T, P*K, C)
     mixed = ((s_ann * s_snn).reshape((t, p, k, c)) *
              a.reshape((t, p, k, 1))).sum(axis=2)                 # (T, P, C)
     charge(s_snn.size)                                            # the K-point mix
-    delta = ops.scatter_points_many(mixed, rows, xs, (n * h, w))
-    return f_snn + delta.reshape((t, c, n, h, w)).transpose((2, 0, 1, 3, 4))
+    out = ops.scatter_points_many(maps, mixed, ys, xs, index)
+    return out.reshape((n, t, c, h, w))
 
 
 # -- channel selection fusion -------------------------------------------------

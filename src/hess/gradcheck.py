@@ -63,11 +63,11 @@ def check_csf():
 def check_lif():
     g = np.random.default_rng(28)
     cfg = LIFConfig()
-    xs = [parameter(g.normal(size=(1, 4)) * 0.3) for _ in range(4)]
+    x = parameter(g.normal(size=(1, 4, 4)) * 0.3)     # N*T*C
     w = parameter(g.normal(size=(1, 4, 4)))
     return grad_check(
-        lambda: (lif_forward_seq(xs, cfg, smooth=True) * w).sum(),
-        xs + [w], eps=1e-6)
+        lambda: (lif_forward_seq(x, cfg, smooth=True) * w).sum(),
+        [x, w], eps=1e-6)
 
 
 def check_network(h=16, w=16):

@@ -68,50 +68,44 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
     return report
 
 
-def ablation(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
-             train_samples, test_samples, rows=ABLATION_ROWS, verbose=False):
-    """Train and evaluate one model per module-toggle combination.
-
-    Returns a list of dicts (name, toggles, accuracy, miou, params).
-    Seeds are shared across rows, so reruns are deterministic.
-    """
+def _sweep(base_net_cfg, train_cfg, train_samples, test_samples, variants,
+           extra, verbose):
+    """Build, train and evaluate one model per (row label fields, config
+    changes) variant; a row is the label fields, accuracy, miou and
+    extra(net). Seeds are shared across rows, so reruns are deterministic."""
     results = []
-    for name, toggles in rows:
-        cfg = dataclasses.replace(base_net_cfg, **toggles)
-        net = build(cfg)
+    for label, changes in variants:
+        net = build(dataclasses.replace(base_net_cfg, **changes))
         train(net, train_samples, train_cfg)
         report = run_eval(net, test_samples)
-        results.append({"name": name, **toggles,
-                        "accuracy": report["accuracy"], "miou": report["miou"],
-                        "params": net.param_count()})
+        results.append({**label, "accuracy": report["accuracy"],
+                        "miou": report["miou"], **extra(net)})
         if verbose:
             print(format_table(results))
     return results
+
+
+def ablation(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
+             train_samples, test_samples, rows=ABLATION_ROWS, verbose=False):
+    """One model per module-toggle combination; rows are dicts (name,
+    toggles, accuracy, miou, params)."""
+    return _sweep(base_net_cfg, train_cfg, train_samples, test_samples,
+                  [({"name": name, **toggles}, toggles) for name, toggles in rows],
+                  lambda net: {"params": net.param_count()}, verbose)
 
 
 def timestep_sweep(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
                    train_samples, test_samples, t_list=(1, 3, 5, 7),
                    verbose=False):
-    """Train and evaluate one model per timestep count.
-
-    The voxel is re-binned so B = T for every entry. Returns a list of
-    dicts (timesteps, accuracy, miou, energy_mj).
-    """
-    results = []
-    for t in t_list:
-        if t < 1:
-            raise ValueError("timesteps must be >= 1")
-        cfg = dataclasses.replace(base_net_cfg, bins=t, timesteps=t)
-        net = build(cfg)
-        train(net, train_samples, train_cfg)
-        report = run_eval(net, test_samples)
-        energy = profile(net, test_samples)
-        results.append({"timesteps": t,
-                        "accuracy": report["accuracy"], "miou": report["miou"],
-                        "energy_mj": energy.e_total_mj})
-        if verbose:
-            print(format_table(results))
-    return results
+    """One model per timestep count, the voxel re-binned so B = T; rows are
+    dicts (timesteps, accuracy, miou, energy_mj). The whole list is checked
+    before any model trains."""
+    if any(t < 1 for t in t_list):
+        raise ValueError("timesteps must be >= 1")
+    return _sweep(base_net_cfg, train_cfg, train_samples, test_samples,
+                  [({"timesteps": t}, dict(bins=t, timesteps=t)) for t in t_list],
+                  lambda net: {"energy_mj": profile(net, test_samples).e_total_mj},
+                  verbose)
 
 
 def format_table(rows):

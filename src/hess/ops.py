@@ -142,6 +142,19 @@ def global_avg_pool(x):
     return tmean(x, axis=(2, 3))
 
 
+def _map_index(m, index, shape):
+    """The map each point reads, broadcast to ``shape`` (R*P) and checked;
+    by default point row r reads map r."""
+    if index is None:
+        if shape[0] != m:
+            raise ValueError("without a map index, need one row of points per map")
+        index = np.arange(m)[:, None]
+    index = np.broadcast_to(np.asarray(index, dtype=np.int64), shape)
+    if np.any((index < 0) | (index >= m)):
+        raise ValueError("map index outside the maps")
+    return index
+
+
 def bilinear_sample_many(maps, points, index=None):
     """Sample M maps (M*C*H*W) at fractional positions (R*P*2), giving
     R*P*C.
@@ -156,13 +169,7 @@ def bilinear_sample_many(maps, points, index=None):
         raise ValueError("bilinear_sample_many expects M*C*H*W maps and R*P*2 points")
     m, c, h, w = maps.shape
     r, p = points.shape[:2]
-    if index is None:
-        if r != m:
-            raise ValueError("without a map index, need one row of points per map")
-        index = np.arange(m)[:, None]
-    index = np.broadcast_to(np.asarray(index, dtype=np.int64), (r, p))
-    if np.any((index < 0) | (index >= m)):
-        raise ValueError("map index outside the maps")
+    index = _map_index(m, index, (r, p))
     # texel rows of all maps, then one zero row that out-of-map corners
     # read, so they add exactly +0 whatever the maps hold
     flat = np.empty((m * h * w + 1, c), dtype=maps.data.dtype)
@@ -211,49 +218,67 @@ def bilinear_sample_many(maps, points, index=None):
     return out
 
 
-def gather_pixels_many(maps, iy, ix):
-    """Read M maps (M*C*H*W) at shared integer positions, giving M*P*C."""
+def _points(maps_shape, iy, ix, index, shape):
+    """Map and texel numbers, flattened, of integer points (iy, ix) on the
+    maps that index names, all broadcast to ``shape``."""
+    m, _, h, w = maps_shape
+    index = _map_index(m, index, shape)
+    iy, ix = (np.broadcast_to(np.asarray(v, dtype=np.int64), shape) for v in (iy, ix))
+    if np.any((iy < 0) | (iy >= h) | (ix < 0) | (ix >= w)):
+        raise ValueError("point position outside the map")
+    return index.ravel(), (iy * w + ix).ravel()
+
+
+def _texel_sums(mi, pos, vals, hw):
+    """(map, texel, float64 sum of the vals rows) of each distinct point;
+    repeated points are summed in point order."""
+    uniq, inv = np.unique(mi * hw + pos, return_inverse=True)
+    sums = _scatter_add_rows(np.zeros((uniq.size, vals.shape[1])), inv, vals)
+    return (*np.divmod(uniq, hw), sums)
+
+
+def gather_pixels_many(maps, iy, ix, index=None):
+    """Read maps (M*C*H*W) at integer points (iy, ix), giving R*P*C.
+
+    index (integers broadcastable with iy and ix to R*P) names the map each
+    point reads; by default point row r reads map r (R = M, positions
+    shared by all maps).
+    """
     maps = constant(maps)
     m, c, h, w = maps.shape
-    iy = np.asarray(iy, dtype=np.int64)
-    ix = np.asarray(ix, dtype=np.int64)
-    if np.any((iy < 0) | (iy >= h) | (ix < 0) | (ix >= w)):
-        raise ValueError("gather position outside the map")
-    idx = iy * w + ix
-    flat = maps.data.reshape(m, c, h * w)
-    out = Tensor(np.ascontiguousarray(flat[:, :, idx].transpose(0, 2, 1)))
-    rows = (np.arange(m, dtype=np.int64)[:, None] * (h * w) + idx[None, :]).ravel()
+    shape = np.broadcast_shapes((m, 1) if index is None else np.shape(index),
+                                np.shape(iy), np.shape(ix))
+    mi, pos = _points(maps.shape, iy, ix, index, shape)
+    out = Tensor(maps.data.reshape(m, c, h * w)[mi, :, pos].reshape(*shape, c))
 
     def backward(g):
-        dflat = np.zeros((m * h * w, c), dtype=g.dtype)
-        _scatter_add_rows(dflat, rows, g.reshape(m * len(idx), c))
-        return (dflat.reshape(m, h, w, c).transpose(0, 3, 1, 2),)
+        umi, upos, acc = _texel_sums(mi, pos, g.reshape(-1, c), h * w)
+        dmaps = np.zeros((m, c, h * w), dtype=g.dtype)
+        dmaps[umi, :, upos] = acc
+        return (dmaps.reshape(maps.shape),)
 
     record_op([out], [maps], backward)
     return out
 
 
-def scatter_points_many(updates, iy, ix, hw):
-    """Place M*P*C updates onto zero M*C*H*W maps at shared integer
-    positions. Repeated positions accumulate."""
-    updates = constant(updates)
-    h, w = hw
-    m, p, c = updates.shape
-    iy = np.asarray(iy, dtype=np.int64)
-    ix = np.asarray(ix, dtype=np.int64)
-    if np.any((iy < 0) | (iy >= h) | (ix < 0) | (ix >= w)):
-        raise ValueError("scatter position outside the map")
-    idx = iy * w + ix
-    rows = (np.arange(m, dtype=np.int64)[:, None] * (h * w) + idx[None, :]).ravel()
-    flat = np.zeros((m * h * w, c), dtype=updates.data.dtype)
-    _scatter_add_rows(flat, rows, updates.data.reshape(m * p, c))
-    out = Tensor(np.ascontiguousarray(
-        flat.reshape(m, h * w, c).transpose(0, 2, 1)).reshape(m, c, h, w))
+def scatter_points_many(base, updates, iy, ix, index=None):
+    """base (M*C*H*W) plus updates (R*P*C) added at integer points (iy, ix)
+    of the maps that index names (as in gather_pixels_many). Only the
+    touched texels are computed; repeated points accumulate."""
+    base, updates = constant(base), constant(updates)
+    m, c, h, w = base.shape
+    if updates.ndim != 3 or updates.shape[2] != c:
+        raise ValueError("scatter_points_many expects R*P*C updates matching the maps")
+    mi, pos = _points(base.shape, iy, ix, index, updates.shape[:2])
+    umi, upos, acc = _texel_sums(mi, pos, updates.data.reshape(-1, c), h * w)
+    out_data = base.data.copy()
+    out_data.reshape(m, c, h * w)[umi, :, upos] += acc.astype(out_data.dtype)
+    out = Tensor(out_data)
 
     def backward(g):
-        return (g.reshape(m, c, h * w).transpose(0, 2, 1)[:, idx],)
+        return g, g.reshape(m, c, h * w)[mi, :, pos].reshape(updates.shape)
 
-    record_op([out], [updates], backward)
+    record_op([out], [base, updates], backward)
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, constant, record_op, stack
+from .tensor import Tensor, constant, record_op
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,14 @@ def _two_sum(a, b):
 
 
 def _step_arrays(state: LIFState, x, cfg: LIFConfig):
-    """Raw membrane update. Returns (h, h_lo, spike_mask, next_state)."""
+    """Raw membrane update. Returns (h, spike_mask, next_state)."""
     d = ((x - state.v) - state.lo) / cfg.tau
     y = state.lo + d
     h, h_lo = _two_sum(state.v, y)
     spike = ((h - cfg.v_threshold) + h_lo) >= 0.0
     v_next = np.where(spike, cfg.v_reset, h)
     lo_next = np.where(spike, 0.0, h_lo)
-    return h, h_lo, spike, LIFState(v_next, lo_next)
+    return h, spike, LIFState(v_next, lo_next)
 
 
 def lif_step(state: LIFState, x, cfg: LIFConfig):
@@ -75,80 +75,68 @@ def lif_step(state: LIFState, x, cfg: LIFConfig):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("LIF input current must be finite")
-    _, _, spike, nxt = _step_arrays(state, x, cfg)
+    _, spike, nxt = _step_arrays(state, x, cfg)
     return spike.astype(np.float64), nxt
+
+
+def _sigmoid_of(h, cfg: LIFConfig):
+    """sigmoid(alpha * (H - theta)), evaluated without overflow."""
+    z = cfg.surrogate_alpha * (h - cfg.v_threshold)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def surrogate_grad(h, cfg: LIFConfig):
     """Surrogate dS/dH: alpha * sigmoid'(alpha * (H - theta))."""
-    a = cfg.surrogate_alpha
     h = np.asarray(h)
     if h.dtype not in (np.float32, np.float64):
         h = h.astype(np.float64)
-    z = a * (h - cfg.v_threshold)
-    e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return a * sig * (1.0 - sig)
+    sig = _sigmoid_of(h, cfg)
+    return cfg.surrogate_alpha * sig * (1.0 - sig)
 
 
-def lif_forward_seq(inputs, cfg: LIFConfig, smooth=False):
-    """Run a LIF layer over a sequence of input currents.
-
-    inputs: list of T same-shaped Tensors (one per timestep). The state
-    starts at v_reset. Returns the spike tensor stacked on a new axis 1
-    (inputs of shape N*C*H*W give N*T*C*H*W).
+def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
+    """Run a LIF layer over the time axis of N*T*... input currents
+    (N*T*C*H*W in the network) as one op; returns the spikes, same shape.
+    The state starts at v_reset.
 
     With smooth=True the spike output is the scaled sigmoid itself
     instead of the Heaviside (the reset still uses the hard threshold);
     this makes the layer finite-difference checkable and its backward is
     identical to the surrogate convention used in hard mode.
+
+    Backward runs time in reverse: dH_t = g_t * surrogate(H_t) + dV_t *
+    [no spike at t], dX_t = dH_t / tau, and dV_(t-1) = dH_t * (1 - 1/tau)
+    carries the membrane gradient back one step.
     """
-    if len(inputs) == 0:
-        raise ValueError("lif_forward_seq needs at least one timestep")
-    inputs = [constant(x) for x in inputs]
-    shape = inputs[0].shape
-    for x in inputs:
-        if x.shape != shape:
-            raise ValueError("all timestep inputs must share a shape")
-    state = LIFState.zeros(shape, cfg, dtype=inputs[0].data.dtype)
-    v_node = constant(np.full(shape, cfg.v_reset))
-    spikes = []
-    for x in inputs:
-        if not np.isfinite(x.data).all():
-            raise ValueError("LIF input current must be finite")
-        s_node, v_node, state = _lif_step_op(v_node, x, state, cfg, smooth)
-        spikes.append(s_node)
-    return stack(spikes, axis=1)
-
-
-def _lif_step_op(v_in: Tensor, x: Tensor, state: LIFState, cfg: LIFConfig, smooth):
-    h, _, spike, nxt = _step_arrays(state, x.data, cfg)
-    if smooth:
-        a = cfg.surrogate_alpha
-        z = a * (h - cfg.v_threshold)
-        az = np.abs(z)
-        s_data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-az)),
-                          np.exp(-az) / (1.0 + np.exp(-az)))
-    else:
-        s_data = spike.astype(np.float64)
-    s_out = Tensor(s_data)
-    v_out = Tensor(nxt.v)
-    keep = ~spike
-    surr = surrogate_grad(h, cfg)
+    x = constant(currents)
+    if x.ndim < 2 or x.shape[1] == 0:
+        raise ValueError("lif_forward_seq needs N*T*... currents with at least one timestep")
+    if not np.isfinite(x.data).all():
+        raise ValueError("LIF input current must be finite")
+    steps = x.shape[1]
+    h = np.empty_like(x.data)
+    spike = np.empty(x.shape, dtype=bool)
+    state = LIFState.zeros(x.shape[:1] + x.shape[2:], cfg, dtype=x.data.dtype)
+    for t in range(steps):
+        h[:, t], spike[:, t], state = _step_arrays(state, x.data[:, t], cfg)
+    out = Tensor(_sigmoid_of(h, cfg) if smooth else spike.astype(x.data.dtype))
     inv_tau = 1.0 / cfg.tau
 
-    def backward(g_s, g_v):
-        # dH aggregates the spike path (surrogate) and the carried
-        # membrane (reset mask detached)
-        dh = 0.0
-        if g_s is not None:
-            dh = dh + g_s * surr
-        if g_v is not None:
-            dh = dh + g_v * keep
-        return dh * (1.0 - inv_tau), dh * inv_tau
+    def backward(g):
+        surr = surrogate_grad(h, cfg)
+        dx = [None] * steps
+        carry = None
+        for t in reversed(range(steps)):
+            dh = 0.0 + g[:, t] * surr[:, t]
+            if carry is not None:
+                dh = dh + carry * ~spike[:, t]
+            dx[t] = dh * inv_tau
+            carry = dh * (1.0 - inv_tau)
+        return (np.stack(dx, axis=1),)
 
-    record_op([s_out, v_out], [v_in, x], backward)
-    return s_out, v_out, nxt
+    record_op([out], [x], backward)
+    return out
 
 
 def spike_rate(s):
@@ -175,7 +163,7 @@ def constant_input_trajectory(x_const, cfg: LIFConfig, steps):
     hs = []
     prev = None
     for i in range(steps):
-        h, _, spike, nxt = _step_arrays(state, x, cfg)
+        h, spike, nxt = _step_arrays(state, x, cfg)
         hs.append(h[0])
         if spike[0]:
             return np.array(hs), i

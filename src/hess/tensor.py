@@ -1,10 +1,11 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense tensors of the default dtype (float64, or float32 for training)
+with tape-based reverse-mode differentiation.
 
 The operator set is intentionally small: exactly what the two-branch
 segmentation network needs (elementwise arithmetic, reductions, matmul,
-reshape/stack) plus a finite-difference gradient checker. Structured ops
-(convolution, sampling, resizing) live in :mod:`hess.ops` and register
-themselves on the same tape.
+reshape/stack/unstack) plus a finite-difference gradient checker.
+Structured ops (convolution, sampling, resizing) live in :mod:`hess.ops`
+and register themselves on the same tape.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ def set_default_dtype(dtype):
     if dtype not in (np.float32, np.float64):
         raise ValueError("supported dtypes: float32, float64")
     DTYPE = dtype
-
-
-def get_default_dtype():
-    return DTYPE
 
 
 @contextlib.contextmanager
@@ -62,12 +59,6 @@ class GradTape:
 
     def __init__(self):
         self.records: list[_OpRecord] = []
-
-    def append(self, rec):
-        self.records.append(rec)
-
-    def clear(self):
-        self.records.clear()
 
 
 _tape = GradTape()
@@ -145,7 +136,7 @@ def charge(macs, x=None):
 
 
 class Tensor:
-    """A dense array of float64 values plus optional gradient bookkeeping.
+    """A dense array of the default dtype plus optional gradient bookkeeping.
 
     data is stored row-major (C order). Tensors are treated as immutable
     once produced by an operation; in-place mutation of ``.data`` is only
@@ -220,7 +211,7 @@ class Tensor:
             # reference counting as soon as the caller drops the loss
             rec.released = True
             rec.outputs = rec.parents = rec.backward = None
-        _tape.clear()
+        _tape.records.clear()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -303,7 +294,7 @@ def record_op(outputs, parents, backward):
         for o in outputs:
             o.requires_grad = True
             o._record = rec
-        _tape.append(rec)
+        _tape.records.append(rec)
     return outputs
 
 
@@ -447,18 +438,20 @@ def stack(tensors, axis=0):
     return _single(out_data, tensors, backward)
 
 
-def take_axis(a, axis, index):
-    """One slice along an arbitrary axis (drops the axis)."""
+def unstack(a, axis=0):
+    """Split a tensor into its slices along ``axis`` (the inverse of stack);
+    one op with one output per slice."""
     a = constant(a)
-    out_data = np.ascontiguousarray(np.take(a.data, index, axis=axis))
-    sel = tuple([slice(None)] * axis + [index])
+    lead = (slice(None),) * axis
+    outs = [Tensor(np.take(a.data, i, axis=axis)) for i in range(a.shape[axis])]
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[sel] = g
+    def backward(*grads):
+        full = np.empty_like(a.data)
+        for i, g in enumerate(grads):
+            full[lead + (i,)] = 0.0 if g is None else g
         return (full,)
 
-    return _single(out_data, [a], backward)
+    return record_op(outs, [a], backward)
 
 
 # -- gradient checking -----------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hess import harness
 from hess.harness import ABLATION_ROWS, ablation, format_table, run_eval, timestep_sweep
 from hess.imgio import read_pgm
 from hess.metrics import confusion, metrics
@@ -111,6 +112,14 @@ class TestTimestepSweep:
         with pytest.raises(ValueError, match=">= 1"):
             timestep_sweep(NetworkConfig(seed=1, **NET), TrainConfig(**TRAIN),
                            tiny_data(19), tiny_data(20, n=2), t_list=[0])
+
+    def test_whole_list_checked_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda net, *args: trained.append(net))
+        with pytest.raises(ValueError, match=">= 1"):
+            timestep_sweep(NetworkConfig(seed=1, **NET), TrainConfig(**TRAIN),
+                           tiny_data(19), tiny_data(20, n=2), t_list=(1, 3, 0))
+        assert trained == []
 
 
 class TestFormatTable:

@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every hess function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hess"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hess"
 
 
 def unused_imports(path):
@@ -34,3 +37,27 @@ def test_detects_an_unused_import(tmp_path):
                  "import json\nimport os.path\nfrom x import a, b as c\n"
                  "print(os.sep, c)\n")
     assert unused_imports(p) == ["m.py:2 json", "m.py:4 a"]
+
+
+def traced_names():
+    """PAIRED, SINGLE and METHODS as perfbench/spans.py lists them."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    found = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("PAIRED", "SINGLE", "METHODS")}
+    return found["PAIRED"] + found["SINGLE"], found["METHODS"]
+
+
+def test_traced_names_resolve():
+    # the tracer looks these up by attribute when it installs, so a rename
+    # in hess would crash every traced benchmark run
+    spans, methods = traced_names()
+    for span in spans:
+        if span in methods:
+            mod, cls, meth = methods[span]
+            owner = getattr(importlib.import_module(f"hess.{mod}"), cls)
+            assert callable(getattr(owner, meth)), span
+        else:
+            mod, fn = span.split(".")
+            assert callable(getattr(importlib.import_module(f"hess.{mod}"), fn)), span

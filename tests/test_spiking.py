@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hess import spiking, tensor
 from hess.spiking import (LIFConfig, LIFState, constant_input_trajectory,
                           lif_forward_seq, lif_step, spike_rate, surrogate_grad)
-from hess.tensor import constant, grad_check, parameter
+from hess.tensor import constant, grad_check, no_grad, parameter, using_dtype
 
 
 CFG = LIFConfig()
@@ -57,34 +58,75 @@ class TestLIFStep:
             LIFConfig(v_threshold=0.0, v_reset=0.0)
 
 
+def steps(*per_step):
+    """N*T*... currents from per-timestep arrays."""
+    return constant(np.stack(per_step, axis=1))
+
+
 class TestSequence:
     def test_zero_inputs_zero_spikes(self):
-        xs = [constant(np.zeros((1, 2, 3, 3))) for _ in range(4)]
-        s = lif_forward_seq(xs, CFG)
+        s = lif_forward_seq(constant(np.zeros((1, 4, 2, 3, 3))), CFG)
         assert s.shape == (1, 4, 2, 3, 3)
         assert np.all(s.data == 0.0)
 
     def test_constant_two_all_spikes(self):
-        xs = [constant(np.full((1, 1, 2, 2), 2.0)) for _ in range(5)]
-        s = lif_forward_seq(xs, CFG)
+        s = lif_forward_seq(constant(np.full((1, 5, 1, 2, 2), 2.0)), CFG)
         assert np.all(s.data == 1.0)
 
     def test_output_binary_random(self):
         g = np.random.default_rng(0)
-        xs = [constant(g.normal(size=(2, 3, 4, 4)) * 2) for _ in range(5)]
-        s = lif_forward_seq(xs, CFG)
+        s = lif_forward_seq(steps(*[g.normal(size=(2, 3, 4, 4)) * 2 for _ in range(5)]), CFG)
         assert np.all((s.data == 0.0) | (s.data == 1.0))
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError, match="at least one"):
-            lif_forward_seq([], CFG)
+            lif_forward_seq(constant(np.zeros((1, 0, 2, 3, 3))), CFG)
+
+    def test_nonfinite_current_rejected(self):
+        x = np.zeros((1, 3, 2))
+        x[0, 2, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            lif_forward_seq(constant(x), CFG)
 
     def test_subthreshold_scaling_invariance(self):
         g = np.random.default_rng(1)
         base = np.abs(g.normal(size=(1, 2, 3, 3))) * 0.2
         for scale in (1.0, 0.5, 2.0):
-            xs = [constant(base * scale) for _ in range(4)]
+            xs = steps(*[base * scale] * 4)
             assert np.all(lif_forward_seq(xs, CFG).data == 0.0)
+
+    def test_matches_step_by_step_updates(self):
+        g = np.random.default_rng(5)
+        xs = g.normal(size=(2, 6, 3, 2)) * 1.5
+        s = lif_forward_seq(constant(xs), CFG)
+        state = LIFState.zeros((2, 3, 2), CFG)
+        for t in range(6):
+            ref, state = lif_step(state, xs[:, t], CFG)
+            assert s.data[:, t].tobytes() == ref.tobytes()
+
+    def test_one_tape_record_none_under_no_grad(self, monkeypatch):
+        x = parameter(np.random.default_rng(6).normal(size=(2, 4, 3)))
+        n0 = len(tensor._tape.records)
+        s = lif_forward_seq(x, CFG)
+        assert len(tensor._tape.records) == n0 + 1
+        s.sum().backward()
+
+        def eager(*args):
+            raise AssertionError("surrogate computed outside backward")
+
+        monkeypatch.setattr(spiking, "surrogate_grad", eager)
+        with no_grad():
+            lif_forward_seq(x, CFG)
+            lif_forward_seq(x, CFG, smooth=True)
+        assert len(tensor._tape.records) == 0
+
+    def test_float32_currents_give_float32_spikes(self):
+        with using_dtype(np.float32):
+            x = parameter(np.random.default_rng(7).normal(size=(1, 3, 2, 2)) * 2)
+            s = lif_forward_seq(x, CFG)
+            assert s.data.dtype == np.float32
+            s.sum().backward()
+        assert x.grad.dtype == np.float32
 
 
 class TestSurrogate:
@@ -141,40 +183,39 @@ class TestBackward:
         g = np.random.default_rng(2)
         cfg = LIFConfig()
         xs_data = [g.normal(size=(2, 3)) * 1.5 for _ in range(6)]
-        xs = [parameter(x.copy()) for x in xs_data]
+        x = parameter(np.stack(xs_data, axis=1))
         upstream = [g.normal(size=(2, 3)) for _ in range(6)]
 
-        spikes = lif_forward_seq(xs, cfg)
+        spikes = lif_forward_seq(x, cfg)
         weighted = spikes * constant(np.stack(upstream, axis=1))
         weighted.sum().backward()
 
         ref = self.manual_bptt(xs_data, cfg, upstream)
-        for x, r in zip(xs, ref):
-            assert np.max(np.abs(x.grad - r)) <= 1e-10
+        for t, r in enumerate(ref):
+            assert np.max(np.abs(x.grad[:, t] - r)) <= 1e-10
 
     def test_smooth_mode_passes_grad_check(self):
         g = np.random.default_rng(3)
         cfg = LIFConfig()
         # keep membranes away from the threshold so finite differences
         # never flip the reset mask
-        xs = [parameter(g.normal(size=(1, 4)) * 0.3) for _ in range(4)]
+        x = parameter(g.normal(size=(1, 4, 4)) * 0.3)
         w = parameter(g.normal(size=(1, 4, 4)))
 
         def fn():
-            s = lif_forward_seq(xs, cfg, smooth=True)
+            s = lif_forward_seq(x, cfg, smooth=True)
             return (s * w).sum()
 
-        assert grad_check(fn, xs + [w], eps=1e-6) <= 1e-4
+        assert grad_check(fn, [x, w], eps=1e-6) <= 1e-4
 
     def test_smooth_and_hard_share_backward(self):
         g = np.random.default_rng(4)
         cfg = LIFConfig()
-        xs_data = [g.normal(size=(2, 2)) for _ in range(3)]
+        xs_data = np.stack([g.normal(size=(2, 2)) for _ in range(3)], axis=1)
 
         grads = []
         for smooth in (False, True):
-            xs = [parameter(x.copy()) for x in xs_data]
-            lif_forward_seq(xs, cfg, smooth=smooth).sum().backward()
-            grads.append([x.grad.copy() for x in xs])
-        for a, b in zip(*grads):
-            assert np.array_equal(a, b)
+            x = parameter(xs_data.copy())
+            lif_forward_seq(x, cfg, smooth=smooth).sum().backward()
+            grads.append(x.grad.copy())
+        assert np.array_equal(*grads)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hess import ops
-from hess.tensor import Tensor, constant, grad_check, no_grad, parameter, stack
+from hess.tensor import (Tensor, constant, grad_check, no_grad, parameter, stack,
+                         unstack, using_dtype)
 
 
 def rng(seed=0):
@@ -196,12 +197,68 @@ class TestPoolAndSample:
         got = ops.gather_pixels_many(constant(m[None]), iy, ix)
         assert got.shape == (1, 3, 3)
         assert np.allclose(got.data[0], m[:, iy, ix].T)
-        back = ops.scatter_points_many(got, iy, ix, (5, 6))
+        back = ops.scatter_points_many(constant(np.zeros((1, 3, 5, 6))), got, iy, ix)
         assert back.shape == (1, 3, 5, 6)
         assert np.allclose(back.data[0][:, iy, ix], m[:, iy, ix])
         mask = np.ones((5, 6), bool)
         mask[iy, ix] = False
         assert np.all(back.data[0][:, mask] == 0.0)
+
+    def map_index_case(self):
+        # 3 maps, 2 rows of 6 points; texel (2, 3) of map 1 is hit twice
+        # in each row
+        g = rng(17)
+        iy = np.array([2, 0, 3, 2, 1, 2])
+        ix = np.array([3, 4, 0, 3, 1, 3])
+        index = np.array([[1, 0, 2, 1, 2, 0], [0, 2, 1, 1, 0, 1]])
+        maps = parameter(g.normal(size=(3, 2, 4, 5)))
+        updates = parameter(g.normal(size=(2, 6, 2)))
+        return maps, updates, iy, ix, index
+
+    def test_gather_map_index_matches_loop(self):
+        maps, _, iy, ix, index = self.map_index_case()
+        got = ops.gather_pixels_many(maps, iy, ix, index)
+        assert got.shape == (2, 6, 2)
+        for r in range(2):
+            for j in range(6):
+                want = maps.data[index[r, j], :, iy[j], ix[j]]
+                assert got.data[r, j].tobytes() == want.tobytes()
+
+    def test_scatter_map_index_matches_loop_and_accumulates(self):
+        maps, updates, iy, ix, index = self.map_index_case()
+        got = ops.scatter_points_many(maps, updates, iy, ix, index)
+        acc = np.zeros(maps.shape)
+        for r in range(2):
+            for j in range(6):
+                acc[index[r, j], :, iy[j], ix[j]] += updates.data[r, j]
+        assert got.data.tobytes() == (maps.data + acc).tobytes()
+        u = updates.data
+        hits = u[0, 0] + u[0, 3] + u[1, 3] + u[1, 5]
+        assert np.array_equal(got.data[1, :, 2, 3], maps.data[1, :, 2, 3] + hits)
+
+    def test_gather_scatter_map_index_grads(self):
+        maps, updates, iy, ix, index = self.map_index_case()
+        w_g = constant(rng(18).normal(size=(2, 6, 2)))
+        w_s = constant(rng(19).normal(size=(3, 2, 4, 5)))
+        assert grad_check(lambda: (ops.gather_pixels_many(maps, iy, ix, index) * w_g).sum(),
+                          [maps], eps=1e-6) <= 1e-4
+        assert grad_check(
+            lambda: (ops.scatter_points_many(maps, updates, iy, ix, index) * w_s).sum(),
+            [maps, updates], eps=1e-6) <= 1e-4
+
+    def test_gather_scatter_bad_points_rejected(self):
+        maps, updates, iy, ix, index = self.map_index_case()
+        for bad_index in (np.full((2, 6), 3), np.full((2, 6), -1)):
+            with pytest.raises(ValueError, match="map index"):
+                ops.gather_pixels_many(maps, iy, ix, bad_index)
+            with pytest.raises(ValueError, match="map index"):
+                ops.scatter_points_many(maps, updates, iy, ix, bad_index)
+        with pytest.raises(ValueError, match="outside the map"):
+            ops.gather_pixels_many(maps, iy, ix + 2, index)
+        with pytest.raises(ValueError, match="outside the map"):
+            ops.scatter_points_many(maps, updates, iy + 2, ix, index)
+        with pytest.raises(ValueError, match="one row of points per map"):
+            ops.scatter_points_many(maps, updates, iy, ix)
 
     def test_interp_resize_constant_map(self):
         x = constant(np.full((1, 2, 4, 4), 3.25))
@@ -331,6 +388,33 @@ class TestGradCheck:
             return (z * z).sum()
 
         assert grad_check(fn, [x, gamma, beta], eps=1e-5) <= 1e-4
+
+    def test_unstack_grads_with_an_unused_slot(self):
+        g = rng(302)
+        x = parameter(g.normal(size=(2, 3, 4)))
+        wgt = constant(g.normal(size=(2, 4)))
+
+        def fn():
+            a, _, c = unstack(x, axis=1)
+            return (a * c * wgt).sum()
+
+        assert grad_check(fn, [x], eps=1e-6) <= 1e-4
+        assert np.all(x.grad[:, 1] == 0.0)
+        parts = unstack(x, axis=2)
+        assert len(parts) == 4 and all(np.array_equal(p.data, x.data[:, :, i])
+                                       for i, p in enumerate(parts))
+
+    def test_unstack_grad_has_the_input_dtype(self):
+        # the sampling positions' gradient is float64; the unstacked
+        # tensor's gradient is still one array of its own dtype
+        g = rng(303)
+        with using_dtype(np.float32):
+            pts = parameter(g.uniform(0.2, 2.8, size=(1, 2, 5, 2)))
+            maps = constant(g.normal(size=(1, 2, 4, 4)))
+            first, second = unstack(pts, axis=1)
+            (ops.bilinear_sample_many(maps, first).sum() +
+             ops.bilinear_sample_many(maps, second).sum()).backward()
+        assert pts.grad.dtype == np.float32
 
     def test_cross_entropy_grad_and_hand_value(self):
         g = rng(301)
