@@ -134,9 +134,9 @@ def cmd_voxelize(args):
         if t1 <= t0:
             t1 = t0 + 1
     grid = voxelize(stream, args.bins, t0, t1)
-    np.save(args.out, grid.data)
-    print(f"voxelized {len(stream)} events into {grid.bins}x{grid.height}"
-          f"x{grid.width} ({args.out})")
+    np.save(args.out, grid)
+    bins, height, width = grid.shape
+    print(f"voxelized {len(stream)} events into {bins}x{height}x{width} ({args.out})")
 
 
 def cmd_train(args):

@@ -25,16 +25,6 @@ _EVENT_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u8"),
                          ("p", "i1"), ("pad", "i1")])
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single brightness-change event."""
-
-    x: int
-    y: int
-    t: int
-    p: int
-
-
 @dataclass
 class EventStream:
     """Events plus the sensor geometry they were recorded on."""
@@ -68,10 +58,6 @@ class EventStream:
     def ps(self):
         return self.events["p"].astype(np.int64)
 
-    def __getitem__(self, i):
-        e = self.events[i]
-        return Event(int(e["x"]), int(e["y"]), int(e["t"]), int(e["p"]))
-
     def validate(self):
         ev = self.events
         if len(ev) == 0:
@@ -92,13 +78,18 @@ class EventStream:
 
 
 def make_stream(width, height, xs, ys, ts, ps):
-    """Assemble a stream from parallel coordinate arrays."""
-    n = len(xs)
-    ev = np.zeros(n, dtype=_EVENT_DTYPE)
-    ev["x"] = xs
-    ev["y"] = ys
-    ev["t"] = ts
-    ev["p"] = ps
+    """Assemble a stream from parallel coordinate arrays. A value that does
+    not fit its EVT1 field is rejected, naming the event, before the cast
+    could wrap it."""
+    ev = np.zeros(len(xs), dtype=_EVENT_DTYPE)
+    for name, values in (("x", xs), ("y", ys), ("t", ts), ("p", ps)):
+        values = np.asarray(values)
+        lim = np.iinfo(_EVENT_DTYPE[name])
+        bad = np.nonzero((values < lim.min) | (values > lim.max))[0]
+        if len(bad):
+            raise ValueError(f"event {bad[0]} has {name} = {values[bad[0]]}, "
+                             f"outside the EVT1 field range {lim.min}..{lim.max}")
+        ev[name] = values
     return EventStream(width, height, ev)
 
 
@@ -154,8 +145,15 @@ def _read_csv(path):
     if not rows:
         # CSV carries no geometry header; an empty file gives a 1x1 sensor
         return EventStream(1, 1)
-    arr = np.array(rows, dtype=np.int64)
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, row in enumerate(rows) if any(abs(v) >= 2**63 for v in row))
+        raise ValueError(f"{path}: event {bad} has a value outside the 64-bit range") from None
     width = int(arr[:, 0].max()) + 1
     height = int(arr[:, 1].max()) + 1
-    return make_stream(width, height, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    try:
+        return make_stream(width, height, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 

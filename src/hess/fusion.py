@@ -23,7 +23,6 @@ import numpy as np
 
 from . import ops
 from .tensor import Tensor, charge, constant, fan_in_uniform, parameter
-from .voxel import ReferencePointSet
 
 
 @dataclass
@@ -187,30 +186,30 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
     """Mix projected frame features into the spike stream at reference
     points only; all other locations pass through unchanged.
 
-    refs is one ReferencePointSet (batch of 1) or a list with one set per
-    sample. The update at reference point r and timestep t is
-    sum_k A_k * (proj(F_ann)[r + dr_k] * F_snn[t, r + dr_k]) with both
-    factors sampled bilinearly at the offset position. All samples' points
-    go through the heads, the sampling and the scatter together.
+    refs is the batch's ReferencePointSet, on the samples' h*w maps
+    stacked along rows (height N*h). The update at reference point r and
+    timestep t is sum_k A_k * (proj(F_ann)[r + dr_k] * F_snn[t, r + dr_k])
+    with both factors sampled bilinearly at the offset position. All
+    samples' points go through the heads, the sampling and the scatter
+    together.
     """
     f_snn, f_ann = constant(f_snn), constant(f_ann)
     n, t, c, h, w = f_snn.shape
     if f_ann.shape[0] != n or f_ann.shape[2:] != (h, w):
         raise ValueError("frame features must match the spike tensor batch/geometry")
-    if isinstance(refs, ReferencePointSet):
-        refs = [refs] * n
-    if len(refs) != n:
-        raise ValueError("need one reference set per sample")
-    ys = np.concatenate([np.asarray(r.ys, dtype=np.int64) for r in refs])
-    xs = np.concatenate([np.asarray(r.xs, dtype=np.int64) for r in refs])
-    if np.any((ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)):
+    if (refs.height, refs.width) != (n * h, w):
+        raise ValueError(f"reference points lie on {refs.height}x{refs.width} "
+                         f"stacked maps, expected {n * h}x{w}")
+    ys = np.asarray(refs.ys, dtype=np.int64)
+    xs = np.asarray(refs.xs, dtype=np.int64)
+    if np.any((ys < 0) | (ys >= n * h) | (xs < 0) | (xs >= w)):
         raise ValueError("reference point outside the feature geometry")
     p = len(ys)
     if p == 0:
         return f_snn
+    sample, ys = np.divmod(ys, h)
 
     k = params.k_points
-    sample = np.repeat(np.arange(n), [len(r) for r in refs])
     # map n*T + t of the (N*T)*C*H*W view is sample n at timestep t
     maps = f_snn.reshape((n * t, c, h, w))
     index = sample * t + np.arange(t)[:, None]                    # (T, P)

@@ -29,7 +29,7 @@ ABLATION_ROWS = (
 
 
 def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
-             with_energy=False, ignore_index=255):
+             ignore_index=255):
     """Aggregate one confusion matrix over the dataset.
 
     Optionally writes predicted label maps (PGM), palette renderings
@@ -55,8 +55,6 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
         "per_class_iou": [None if np.isnan(v) else float(v) for v in iou],
         "miou": miou,
     }
-    if with_energy:
-        report["energy"] = profile(net, samples).to_dict()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for i, p in enumerate(preds):

@@ -28,7 +28,7 @@ from . import fusion, ops
 from .spiking import LIFConfig, lif_forward_seq
 from .tensor import (Tensor, constant, cost_scope, fan_in_uniform, no_grad,
                      parameter, stack, unstack)
-from .voxel import VoxelGrid, downsample_voxel, extract_reference_points, znorm
+from .voxel import downsample_voxel, extract_reference_points, znorm
 
 CHECKPOINT_MAGIC = b"HESS"
 CHECKPOINT_VERSION = 1
@@ -126,9 +126,6 @@ class HybridNetwork:
     cls_b: Tensor = None
     params: dict = field(default_factory=dict)   # name -> Tensor, declaration order
 
-    def parameters(self):
-        return list(self.params.values())
-
     def param_count(self):
         return sum(p.size for p in self.params.values())
 
@@ -200,26 +197,13 @@ def _register(reg, prefix, params):
             reg[f"{prefix}.{suffix}"] = value
 
 
-def _voxel_batch(voxel, h, w):
-    """Normalize the accepted voxel inputs into an (N, B, H, W) array."""
-    if isinstance(voxel, VoxelGrid):
-        arr = voxel.data[None]
-    elif isinstance(voxel, np.ndarray):
-        arr = (voxel[None] if voxel.ndim == 3 else voxel).astype(np.float64)
-    else:
-        arr = np.stack([g.data for g in voxel])
-    if arr.ndim != 4 or arr.shape[2:] != (h, w):
-        raise ValueError("voxel spatial size must equal the frame size")
-    return arr
-
-
 def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
     """Segmentation logits N*num_classes*H*W.
 
-    frames: N*Cin*H*W array (or Tensor). voxel: a VoxelGrid, a list of
-    them, or a raw (N, B, H, W) array; None runs the frame branch alone.
-    Z-scoring of the voxel and reference-point extraction happen here,
-    from the raw grid. smooth swaps the LIF Heaviside for its sigmoid
+    frames: N*Cin*H*W array (or Tensor). voxel: the raw N*B*H*W event
+    grids (optim.prepare_batches); None runs the frame branch alone. The
+    grids are Z-scored and their reference points extracted here, once
+    for the whole batch. smooth swaps the LIF Heaviside for its sigmoid
     surrogate (gradient verification only). Each layer runs in a
     cost_scope of its name, so under tensor.count_macs() the MACs its ops
     perform are charged to it.
@@ -237,18 +221,22 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
 
     events_on = voxel is not None
     if events_on:
-        raw = _voxel_batch(voxel, h, w)
+        raw = np.asarray(voxel, dtype=np.float64)
+        if raw.ndim != 4 or raw.shape[2:] != (h, w):
+            raise ValueError(f"voxel must be N*B*H*W with the frames' spatial size "
+                             f"{h}x{w}, got shape {raw.shape}")
         if raw.shape[0] != n:
             raise ValueError("voxel batch size must match frames")
         if raw.shape[1] != cfg.bins:
             raise ValueError(f"voxel has {raw.shape[1]} bins, config says {cfg.bins}")
         if cfg.bins != cfg.timesteps:
             raise ValueError("bins must equal timesteps (one bin per step)")
-        grids = [VoxelGrid(raw[i], 0, 1) for i in range(n)]
-        normed = np.stack([znorm(g).data for g in grids])
+        if not np.isfinite(raw).all():
+            raise ValueError("voxel data must be finite")
+        normed = znorm(raw)
         snn_inputs = [constant(normed[:, t][:, None]) for t in range(cfg.timesteps)]
-        refs_per_scale = [[extract_reference_points(downsample_voxel(g, factor),
-                                                    scale=factor) for g in grids]
+        refs_per_scale = [extract_reference_points(downsample_voxel(raw, factor),
+                                                   scale=factor)
                           for factor, _ in cfg.scales]
 
     ann = frames

@@ -38,20 +38,22 @@ def lr_at(cfg: TrainConfig, iteration):
 
 
 class AdamW:
-    """Decoupled weight-decay Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Decoupled weight-decay Adam."""
 
-    def __init__(self, params: dict, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict, weight_decay=0.0):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p in self.params.items():
@@ -64,7 +66,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= lr * (update + self.weight_decay * p.data)
 
     def state(self):
@@ -80,7 +82,7 @@ class AdamW:
 def prepare_batches(samples, bins):
     """Precompute per-sample model inputs: frames, raw voxels, labels."""
     frames = np.stack([s.frame_input() for s in samples])
-    voxels = np.stack([s.voxel(bins).data for s in samples])
+    voxels = np.stack([s.voxel(bins) for s in samples])
     labels = np.stack([s.labels.astype(np.int64) for s in samples])
     return frames, voxels, labels
 

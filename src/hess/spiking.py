@@ -139,16 +139,6 @@ def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
     return out
 
 
-def spike_rate(s):
-    """Mean firing rate of a strictly binary spike tensor."""
-    data = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("empty spike tensor")
-    if not np.all((data == 0.0) | (data == 1.0)):
-        raise ValueError("spike tensor must be strictly binary")
-    return float(data.mean())
-
-
 def constant_input_trajectory(x_const, cfg: LIFConfig, steps):
     """Membrane values after each of ``steps`` updates under a constant
     scalar input, stopping early at the first spike.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .events import EventStream, make_stream, read_events, write_events
 from .imgio import read_pgm, write_pgm
-from .voxel import VoxelGrid, voxelize
+from .voxel import voxelize
 
 BACKGROUND_LEVEL = 0.45
 CONTRAST_THRESHOLD = 0.15
@@ -187,15 +187,16 @@ class SegSample:
     def frame_input(self):
         return (self.frame.astype(np.float64) / 255.0)[None]   # (1, H, W)
 
-    def voxel(self, bins) -> VoxelGrid:
+    def voxel(self, bins):
+        """B*H*W grid of the events over their own time span (all zero
+        when the window holds no event)."""
         if len(self.events):
             t0 = int(self.events.ts[0])
             t1 = int(self.events.ts[-1])
             if t1 <= t0:
                 t1 = t0 + 1   # degenerate single-instant window
             return voxelize(self.events, bins, t0, t1)
-        return VoxelGrid(np.zeros((bins, self.frame.shape[0], self.frame.shape[1])),
-                         self.t_lo, max(self.t_hi, self.t_lo + 1))
+        return np.zeros((bins, self.frame.shape[0], self.frame.shape[1]))
 
 
 def make_samples(seed, config: SynthConfig, max_events=6400):
@@ -235,13 +236,37 @@ def save_dataset(samples, out_dir, meta=None):
 
 
 def load_dataset(in_dir):
-    with open(os.path.join(in_dir, "meta.json")) as f:
-        info = json.load(f)
+    """(samples, meta) from a save_dataset directory. meta.json must be an
+    object with an int "samples" >= 0 and that many [int, int] "windows";
+    otherwise a ValueError names the file."""
+    path = os.path.join(in_dir, "meta.json")
+    with open(path) as f:
+        try:
+            info = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    _check_meta(info, path)
     samples = []
-    for i in range(info["samples"]):
+    for i, (t_lo, t_hi) in enumerate(info["windows"]):
         frame = read_pgm(os.path.join(in_dir, f"frame_{i:04d}.pgm"))
         labels = read_pgm(os.path.join(in_dir, f"label_{i:04d}.pgm"))
         events = read_events(os.path.join(in_dir, f"events_{i:04d}.evt1"))
-        t_lo, t_hi = info["windows"][i]
         samples.append(SegSample(frame, labels, events, t_lo, t_hi))
     return samples, info
+
+
+def _check_meta(info, path):
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if not isinstance(info, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    count = info.get("samples")
+    if not is_int(count) or count < 0:
+        raise ValueError(f"{path}: 'samples' must be an integer >= 0, got {count!r}")
+    windows = info.get("windows")
+    if not isinstance(windows, list) or len(windows) != count:
+        raise ValueError(f"{path}: 'windows' must be a list of {count} [t_lo, t_hi] pairs")
+    for i, win in enumerate(windows):
+        if not (isinstance(win, list) and len(win) == 2 and all(map(is_int, win))):
+            raise ValueError(f"{path}: window {i} must be [int, int], got {win!r}")

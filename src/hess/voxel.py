@@ -1,9 +1,10 @@
-"""Voxel-grid construction from event streams.
+"""Voxel grids from event streams, as plain float64 arrays.
 
 Events are binned onto a B*H*W grid with a triangular kernel: an event at
 scaled time s = (t - t_start)/(t_end - t_start) * (B - 1) contributes
 p * max(0, 1 - |b - s|) to bin b, so each interior event splits between
-at most two adjacent bins with weights summing to 1.
+at most two adjacent bins with weights summing to 1. The other functions
+take one B*H*W grid or an N*B*H*W batch and treat each grid on its own.
 """
 
 from __future__ import annotations
@@ -15,45 +16,15 @@ import numpy as np
 from .events import EventStream
 
 
-@dataclass
-class VoxelGrid:
-    """B*H*W accumulation of events over a time window (microseconds)."""
-
-    data: np.ndarray
-    t_start: int
-    t_end: int
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError("voxel data must be B*H*W")
-        if self.t_end <= self.t_start:
-            raise ValueError("voxel window must satisfy t_start < t_end")
-        if not np.isfinite(self.data).all():
-            raise ValueError("voxel data must be finite")
-
-    @property
-    def bins(self):
-        return self.data.shape[0]
-
-    @property
-    def height(self):
-        return self.data.shape[1]
-
-    @property
-    def width(self):
-        return self.data.shape[2]
-
-
-def voxelize(stream: EventStream, bins, t_start, t_end) -> VoxelGrid:
-    """Accumulate a stream into a voxel grid over [t_start, t_end]."""
+def voxelize(stream: EventStream, bins, t_start, t_end) -> np.ndarray:
+    """Accumulate a stream into a B*H*W grid over [t_start, t_end]."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if t_end <= t_start:
         raise ValueError("voxel window must satisfy t_start < t_end")
     data = np.zeros((bins, stream.height, stream.width))
     if len(stream) == 0:
-        return VoxelGrid(data, t_start, t_end)
+        return data
     ts = stream.ts
     if ts[0] < t_start or ts[-1] > t_end:
         raise ValueError("events outside the voxel window")
@@ -67,32 +38,35 @@ def voxelize(stream: EventStream, bins, t_start, t_end) -> VoxelGrid:
     np.add.at(flat, (b0[lo_ok], pix[lo_ok]), (ps * (1.0 - frac))[lo_ok])
     hi_ok = (b0 + 1 < bins) & (frac > 0)
     np.add.at(flat, (b0[hi_ok] + 1, pix[hi_ok]), (ps * frac)[hi_ok])
-    return VoxelGrid(data, t_start, t_end)
+    return data
 
 
-def znorm(grid: VoxelGrid, eps=1e-8) -> VoxelGrid:
-    """Z-score over all grid entries (population std, guarded near zero)."""
-    v = grid.data
-    out = (v - v.mean()) / max(float(v.std()), eps)
-    return VoxelGrid(out, grid.t_start, grid.t_end)
+def znorm(v, eps=1e-8):
+    """Z-score each grid over its last three axes (population std,
+    guarded near zero)."""
+    axes = (-3, -2, -1)
+    mean = v.mean(axis=axes, keepdims=True)
+    std = v.std(axis=axes, keepdims=True)
+    return (v - mean) / np.maximum(std, eps)
 
 
-def downsample_voxel(grid: VoxelGrid, factor) -> VoxelGrid:
-    """Average pooling per bin with kernel = stride = factor."""
+def downsample_voxel(v, factor):
+    """Average pooling of the last two axes with kernel = stride = factor."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
-        return VoxelGrid(grid.data.copy(), grid.t_start, grid.t_end)
-    b, h, w = grid.data.shape
+        return v.copy()
+    *lead, h, w = v.shape
     if h % factor or w % factor:
         raise ValueError(f"factor {factor} does not divide {h}x{w}")
-    pooled = grid.data.reshape(b, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
-    return VoxelGrid(pooled, grid.t_start, grid.t_end)
+    return v.reshape(*lead, h // factor, factor, w // factor, factor).mean(axis=(-3, -1))
 
 
 @dataclass
 class ReferencePointSet:
-    """Integer (y, x) anchor locations at one feature scale."""
+    """Integer (y, x) anchor locations at one feature scale, on grids
+    stacked along rows: row n*H + y is grid n's row y, so a batch of N
+    H*W grids has height N*H and a single grid is the case N = 1."""
 
     ys: np.ndarray
     xs: np.ndarray
@@ -103,13 +77,12 @@ class ReferencePointSet:
     def __len__(self):
         return len(self.ys)
 
-    def as_array(self):
-        return np.stack([self.ys, self.xs], axis=1)
 
-
-def extract_reference_points(grid: VoxelGrid, scale=1) -> ReferencePointSet:
-    """Pixels whose summed absolute bin mass is nonzero, row-major order."""
-    mass = np.abs(grid.data).sum(axis=0)
+def extract_reference_points(v, scale=1) -> ReferencePointSet:
+    """Pixels whose summed absolute bin mass is nonzero, in row-major order
+    of a B*H*W grid or of an N*B*H*W batch's grids stacked along rows."""
+    mass = np.abs(v).sum(axis=-3)
+    mass = mass.reshape(-1, mass.shape[-1])
     ys, xs = np.nonzero(mass > 0)
     return ReferencePointSet(ys.astype(np.int64), xs.astype(np.int64),
-                             scale, grid.height, grid.width)
+                             scale, mass.shape[0], mass.shape[1])

@@ -21,7 +21,7 @@ from hess.optim import TrainConfig, train
 from hess.spiking import LIFConfig, LIFState, constant_input_trajectory, lif_step
 from hess.synthetic import SynthConfig, make_samples
 from hess.tensor import constant, no_grad, using_dtype
-from hess.voxel import VoxelGrid, downsample_voxel, extract_reference_points, voxelize
+from hess.voxel import downsample_voxel, extract_reference_points, voxelize
 
 
 def report(num, name, detail=""):
@@ -75,10 +75,10 @@ class TestAcceptance:
                 s = t / span * (bins - 1)
                 for b in range(bins):
                     ref[b, y, x] += p * max(0.0, 1.0 - abs(b - s))
-            worst = max(worst, float(np.max(np.abs(grid.data - ref))))
+            worst = max(worst, float(np.max(np.abs(grid - ref))))
             assert worst <= 1e-12
             # per-pixel bin-mass conservation, exact
-            per_pixel = grid.data.sum(axis=0)
+            per_pixel = grid.sum(axis=0)
             expected = np.zeros((h, w))
             np.add.at(expected, (stream.ys, stream.xs), stream.ps.astype(float))
             assert np.max(np.abs(per_pixel - expected)) <= 1e-12
@@ -128,7 +128,7 @@ class TestAcceptance:
         frames = g.random((2, 1, 64, 64))
         empty = EventStream(64, 64)
         grid = voxelize(empty, net.config.bins, 0, 1000)
-        batch = np.stack([grid.data, grid.data])
+        batch = np.stack([grid, grid])
         with no_grad():
             with_events = forward(net, frames, batch)
             frames_only = forward(net, frames, None)

@@ -104,6 +104,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "error:" in err and "'bdaptor_ratio'" in err
 
+    @pytest.mark.parametrize("meta", ['[]', '{"windows": []}', '{"samples": "3"}',
+                                      '{"samples": true, "windows": [[0, 1]]}',
+                                      '{"samples": -1, "windows": []}',
+                                      '{"samples": 3, "windows": [[0, 1]]}',
+                                      '{"samples": 1, "windows": [[0]]}',
+                                      '{"samples": 1, "windows": [[0, 1.5]]}',
+                                      '{"samples": 1,'])
+    def test_eval_malformed_meta_fails_cleanly(self, workspace, tmp_path, capsys, meta):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "test", data)
+        (data / "meta.json").write_text(meta)
+        ckpt = tmp_path / "m.hess"
+        save_checkpoint(build(NetworkConfig(scales=((2, 4),), k_points=1)), ckpt)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "meta.json" in err
+
     def test_train_rejects_mistyped_config_value(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"network": {"k_points": 2.5}}))

@@ -91,12 +91,14 @@ class TestCounts:
         t, c, c_ann, k, h, w = 3, 4, 5, 2, 6, 7
         g = np.random.default_rng(3)
         p = fusion.init_eds_params(c, c_ann, k, g)
-        refs = [ReferencePointSet(np.array([0, 2, 5][:3 - i]), np.array([1, 6, 3][:3 - i]),
-                                  1, h, w) for i in range(n)]
+        # sample i has the first 3 - i points; its rows are offset by i*h
+        ys = np.concatenate([np.array([0, 2, 5][:3 - i]) + i * h for i in range(n)])
+        xs = np.concatenate([np.array([1, 6, 3][:3 - i]) for i in range(n)])
+        refs = ReferencePointSet(ys, xs, 1, n * h, w)
         with count_macs() as counts, cost_scope("eds"):
             fusion.eds_inject(g.random((n, t, c, h, w)), g.normal(size=(n, c_ann, h, w)),
                               refs, p)
-        pts = sum(len(r) for r in refs)
+        pts = len(refs)
         assert counts["eds"]["macs"] == (n * h * w * c * c_ann + t * pts * 3 * k * c
                                          + 9 * t * pts * k * c)
         assert counts["eds"]["calls"] == 6

@@ -78,6 +78,24 @@ class TestEventIO:
         with pytest.raises(ValueError, match="polarity"):
             make_stream(8, 8, [1], [1], [10], [0])
 
+    @pytest.mark.parametrize("record, field", [("70000,1,5,1", "x = 70000"),
+                                               ("1,65536,5,1", "y = 65536"),
+                                               ("-1,1,5,1", "x = -1"),
+                                               ("1,1,-5,1", "t = -5"),
+                                               ("1,1,5,257", "p = 257"),
+                                               ("1,1,18446744073709551616,1",
+                                                "a value outside the 64-bit range")])
+    def test_csv_value_outside_evt1_field_rejected(self, tmp_path, record, field):
+        # unchecked, the casts would wrap x = 70000 to 4464 and t = -5 to 2**64 - 5
+        p = tmp_path / "wide.csv"
+        p.write_text(f"x,y,t,p\n0,0,0,1\n{record}\n")
+        with pytest.raises(ValueError, match=f"wide.csv: event 1 has {field}"):
+            read_events(p)
+
+    def test_make_stream_checks_fields_before_the_cast(self):
+        with pytest.raises(ValueError, match="event 2 has t = -1"):
+            make_stream(4, 4, [0, 1, 2], [0, 0, 0], [0, 3, -1], [1, 1, 1])
+
     def test_last_window(self):
         # a sample keeps the most recent max_events events of its window
         cfg = SynthConfig(width=16, height=16, frame_count=3, num_shapes=1,

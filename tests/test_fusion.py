@@ -19,6 +19,14 @@ def make_refs(ys, xs, h, w, scale=1):
                              np.asarray(xs, dtype=np.int64), scale, h, w)
 
 
+def stacked_refs(points, h, w):
+    """One set over len(points) h*w maps stacked along rows, from each
+    sample's (ys, xs)."""
+    ys = [np.asarray(y, dtype=np.int64) + i * h for i, (y, _) in enumerate(points)]
+    xs = [np.asarray(x, dtype=np.int64) for _, x in points]
+    return make_refs(np.concatenate(ys), np.concatenate(xs), len(points) * h, w)
+
+
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -201,7 +209,7 @@ class TestEDSInject:
         p = init_eds_params(3, 4, 4, g)
         f_snn = constant((g.random((2, 3, 3, 4, 4)) > 0.5).astype(float))
         f_ann = constant(g.normal(size=(2, 4, 4, 4)))
-        out = eds_inject(f_snn, f_ann, make_refs([], [], 4, 4), p)
+        out = eds_inject(f_snn, f_ann, make_refs([], [], 8, 4), p)
         assert out is f_snn
 
     def test_modifies_only_reference_rows(self):
@@ -261,15 +269,15 @@ class TestEDSInject:
         p.proj_b = parameter(g.normal(size=c) * 0.1)
         f_snn = g.random((n, t, c, h, w))
         f_ann = g.normal(size=(n, c_ann, h, w))
-        refs = [make_refs([0, 4, 2], [3, 0, 1], h, w), make_refs([1], [2], h, w)]
-        out = eds_inject(constant(f_snn), constant(f_ann), refs, p)
+        points = [([0, 4, 2], [3, 0, 1]), ([1], [2])]
+        out = eds_inject(constant(f_snn), constant(f_ann), stacked_refs(points, h, w), p)
 
         # independent loop re-derivation, one sample and point at a time
         ref = f_snn.copy()
         for i in range(n):
             proj = np.einsum("oc,chw->ohw", p.proj_w.data[:, :, 0, 0], f_ann[i]) \
                 + p.proj_b.data[:, None, None]
-            for y, x in zip(refs[i].ys, refs[i].xs):
+            for y, x in zip(*points[i]):
                 for ti in range(t):
                     feat = f_snn[i, ti, :, y, x]
                     off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
@@ -289,15 +297,14 @@ class TestEDSInject:
         g = rng(28)
         f_snn = (g.random((3, 2, 3, 6, 5)) > 0.5).astype(dtype)
         f_ann = g.normal(size=(3, 4, 6, 5)).astype(dtype)
-        refs = [make_refs([0, 2, 5, 3], [1, 4, 0, 3], 6, 5),
-                make_refs([], [], 6, 5),
-                make_refs([5, 1], [4, 0], 6, 5)]
+        points = [([0, 2, 5, 3], [1, 4, 0, 3]), ([], []), ([5, 1], [4, 0])]
         with using_dtype(dtype):
             p = init_eds_params(3, 4, 2, g)
             p.off_b = parameter(g.uniform(-1.5, 1.5, size=4))
-            batch = eds_inject(constant(f_snn), constant(f_ann), refs, p).data
+            batch = eds_inject(constant(f_snn), constant(f_ann),
+                               stacked_refs(points, 6, 5), p).data
             alone = [eds_inject(constant(f_snn[i:i + 1]), constant(f_ann[i:i + 1]),
-                                refs[i], p).data for i in range(3)]
+                                make_refs(*points[i], 6, 5), p).data for i in range(3)]
         assert batch.dtype == dtype
         assert batch.tobytes() == np.concatenate(alone).tobytes()
         assert not np.array_equal(batch[0], f_snn[0])

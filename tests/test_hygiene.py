@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every hess function the benchmark's tracer wraps exists."""
+"""Source hygiene: every name a module imports is used in that module,
+every public top-level name is referenced somewhere besides its own
+definition, and every hess function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -9,6 +10,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hess"
+
+# specification and reference functions, kept for the tests that pin them
+REFERENCE_ONLY = {"spiking.lif_step", "spiking.constant_input_trajectory",
+                  "energy.fit_energy_coefficients", "imgio.read_ppm"}
 
 
 def unused_imports(path):
@@ -61,3 +66,60 @@ def test_traced_names_resolve():
         else:
             mod, fn = span.split(".")
             assert callable(getattr(importlib.import_module(f"hess.{mod}"), fn)), span
+
+
+def unreferenced_names(src, others):
+    """Public top-level names of the modules in ``src`` that no code in
+    ``src`` or ``others`` refers to outside their own definition.
+
+    A reference is a bare name in the defining module, or, from another
+    module, ``from .mod import name``, ``mod.name`` or the string
+    ``"mod.name"`` (how perfbench/spans.py names what it traces)."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    outside = [ast.parse(p.read_text()) for p in sorted(others.glob("*.py"))]
+    missing = []
+    for mod, tree in modules.items():
+        external = set()
+        for other in [t for m, t in modules.items() if m != mod] + outside:
+            for node in ast.walk(other):
+                if isinstance(node, ast.ImportFrom) and node.module \
+                        and node.module.split(".")[-1] == mod:
+                    external.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id == mod:
+                    external.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value.startswith(mod + "."):
+                    external.add(node.value[len(mod) + 1:])
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            for name in names:
+                if name.startswith("_") or name in external:
+                    continue
+                if not any(isinstance(n, ast.Name) and n.id == name and id(n) not in own
+                           for n in ast.walk(tree)):
+                    missing.append(f"{mod}.{name}")
+    return missing
+
+
+def test_every_public_name_is_referenced():
+    # the allowlist is exact: a listed name that gains a caller leaves it
+    assert sorted(unreferenced_names(SRC, ROOT / "perfbench")) == sorted(REFERENCE_ONLY)
+
+
+def test_detects_an_unreferenced_name(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text("LIMIT = 3\n\ndef used():\n    return LIMIT\n\n"
+                              "def recursive():\n    return recursive()\n\n"
+                              "def traced():\n    pass\n\nclass Dead:\n    pass\n")
+    (src / "b.py").write_text("from .a import used\nused()\n")
+    (bench / "spans.py").write_text('SINGLE = ("a.traced",)\n')
+    assert unreferenced_names(src, bench) == ["a.recursive", "a.Dead"]

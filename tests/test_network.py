@@ -5,7 +5,7 @@ from hess.network import (HybridNetwork, NetworkConfig, build, forward,
                           load_checkpoint, loss, predict, save_checkpoint)
 from hess.optim import AdamW, TrainConfig, lr_at, train
 from hess.synthetic import SynthConfig, make_samples
-from hess.tensor import constant, grad_check, no_grad
+from hess.tensor import constant, grad_check, no_grad, using_dtype
 
 
 SMALL = dict(scales=((2, 8), (4, 8)), bins=3, timesteps=3, k_points=2,
@@ -136,6 +136,26 @@ class TestForward:
         net = small_net()
         with pytest.raises(ValueError, match="spatial"):
             forward(net, np.zeros((1, 1, 16, 16)), np.zeros((1, 3, 8, 8)))
+        with pytest.raises(ValueError, match="N\\*B\\*H\\*W"):   # one grid, no batch axis
+            forward(net, np.zeros((1, 1, 16, 16)), np.zeros((3, 16, 16)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_gives_each_sample_its_own_logits(self, dtype):
+        # the batch is Z-scored, pooled and searched for reference points
+        # once, yet each sample, the all-zero one included, keeps bitwise
+        # the logits it gets alone
+        frames, voxel = rand_inputs(11, n=3)
+        voxel[1] = 0.0
+        with using_dtype(dtype):
+            net = small_net(4)
+            g = np.random.default_rng(12)
+            for p in net.params.values():   # wake the zero-initialized heads
+                p.data += (0.05 * g.normal(size=p.shape)).astype(dtype)
+            batch = forward(net, frames, voxel).data
+            alone = [forward(net, frames[i:i + 1], voxel[i:i + 1]).data
+                     for i in range(3)]
+        assert batch.dtype == dtype
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestLossPredict:

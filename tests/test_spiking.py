@@ -3,7 +3,7 @@ import pytest
 
 from hess import spiking, tensor
 from hess.spiking import (LIFConfig, LIFState, constant_input_trajectory,
-                          lif_forward_seq, lif_step, spike_rate, surrogate_grad)
+                          lif_forward_seq, lif_step, surrogate_grad)
 from hess.tensor import constant, grad_check, no_grad, parameter, using_dtype
 
 
@@ -142,19 +142,6 @@ class TestSurrogate:
             lo = surrogate_grad(np.array([CFG.v_threshold - d]), CFG)[0]
             hi = surrogate_grad(np.array([CFG.v_threshold + d]), CFG)[0]
             assert abs(lo - hi) <= 1e-15
-
-
-class TestSpikeRate:
-    def test_extremes_and_half(self):
-        assert spike_rate(np.zeros((2, 3))) == 0.0
-        assert spike_rate(np.ones((2, 3))) == 1.0
-        s = np.zeros(10)
-        s[:5] = 1.0
-        assert spike_rate(s) == 0.5
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            spike_rate(np.array([0.0, 0.5]))
 
 
 class TestBackward:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hess.events import EventStream, make_stream
-from hess.voxel import (VoxelGrid, downsample_voxel, extract_reference_points,
-                        voxelize, znorm)
+from hess.voxel import downsample_voxel, extract_reference_points, voxelize, znorm
 
 
 def brute_force_voxel(stream, bins, t_start, t_end):
@@ -29,28 +28,28 @@ def random_stream(seed, n, width=12, height=10, t_max=10_000):
 class TestVoxelize:
     def test_empty_stream_zero_grid(self):
         v = voxelize(EventStream(8, 8), 5, 0, 100)
-        assert np.all(v.data == 0.0)
-        assert v.bins == 5
+        assert np.all(v == 0.0)
+        assert v.shape == (5, 8, 8)
 
     def test_single_event_at_midpoint(self):
         s = make_stream(4, 4, [2], [1], [50], [1])
         v = voxelize(s, 5, 0, 100)
         # scaled time 0.5 * 4 = 2.0: all mass in bin 2
-        assert v.data[2, 1, 2] == 1.0
-        assert v.data.sum() == 1.0
+        assert v[2, 1, 2] == 1.0
+        assert v.sum() == 1.0
 
     def test_single_event_split_between_bins(self):
         s = make_stream(4, 4, [0], [3], [375], [-1])
         v = voxelize(s, 5, 0, 1000)
         # scaled time 0.375 * 4 = 1.5: half in bin 1, half in bin 2
-        assert v.data[1, 3, 0] == -0.5
-        assert v.data[2, 3, 0] == -0.5
-        assert np.abs(v.data).sum() == 1.0
+        assert v[1, 3, 0] == -0.5
+        assert v[2, 3, 0] == -0.5
+        assert np.abs(v).sum() == 1.0
 
     def test_event_at_window_end_maps_to_last_bin(self):
         s = make_stream(4, 4, [1], [1], [1000], [1])
         v = voxelize(s, 5, 0, 1000)
-        assert v.data[4, 1, 1] == 1.0
+        assert v[4, 1, 1] == 1.0
 
     def test_window_errors(self):
         s = make_stream(4, 4, [1], [1], [50], [1])
@@ -67,13 +66,13 @@ class TestVoxelize:
         s = random_stream(seed, n)
         v = voxelize(s, bins, 0, 10_000)
         ref = brute_force_voxel(s, bins, 0, 10_000)
-        assert np.max(np.abs(v.data - ref)) <= 1e-12
+        assert np.max(np.abs(v - ref)) <= 1e-12
 
     @pytest.mark.parametrize("bins", [2, 3, 5, 8])
     def test_bin_mass_conservation(self, bins):
         s = random_stream(77, 300)
         v = voxelize(s, bins, 0, 10_000)
-        per_pixel = v.data.sum(axis=0)
+        per_pixel = v.sum(axis=0)
         expected = np.zeros((s.height, s.width))
         np.add.at(expected, (s.ys, s.xs), s.ps.astype(float))
         assert np.max(np.abs(per_pixel - expected)) <= 1e-12
@@ -81,47 +80,63 @@ class TestVoxelize:
 
 class TestZnorm:
     def test_constant_grid_zeroed(self):
-        v = VoxelGrid(np.full((3, 4, 4), 2.5), 0, 10)
-        assert np.all(znorm(v).data == 0.0)
+        v = np.full((3, 4, 4), 2.5)
+        assert np.all(znorm(v) == 0.0)
 
     def test_mean_zero_std_one(self):
         g = np.random.default_rng(3)
-        v = VoxelGrid(g.normal(2.0, 3.0, size=(5, 8, 8)), 0, 10)
-        z = znorm(v).data
+        v = g.normal(2.0, 3.0, size=(5, 8, 8))
+        z = znorm(v)
         assert abs(z.mean()) <= 1e-9
         assert abs(z.std() - 1.0) <= 1e-6
 
     def test_two_entry_hand_case(self):
-        v = VoxelGrid(np.array([-1.0, 1.0]).reshape(2, 1, 1), 0, 10)
-        z = znorm(v).data
+        v = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+        z = znorm(v)
         # population std of {-1, 1} is exactly 1
         assert np.array_equal(z.reshape(-1), [-1.0, 1.0])
+
+    def test_batch_scores_each_grid_alone(self):
+        # one constant grid (std guarded), one sparse, one dense
+        g = np.random.default_rng(5)
+        batch = np.stack([np.full((4, 8, 6), 1.5),
+                          g.normal(size=(4, 8, 6)) * (g.random((4, 8, 6)) > 0.8),
+                          g.normal(3.0, 2.0, size=(4, 8, 6))])
+        alone = [znorm(v) for v in batch]
+        assert znorm(batch).tobytes() == np.stack(alone).tobytes()
+        assert np.all(alone[0] == 0.0)
 
 
 class TestDownsample:
     def test_factor_one_identity(self):
-        v = VoxelGrid(np.random.default_rng(4).normal(size=(2, 6, 6)), 0, 10)
-        assert np.array_equal(downsample_voxel(v, 1).data, v.data)
+        v = np.random.default_rng(4).normal(size=(2, 6, 6))
+        assert np.array_equal(downsample_voxel(v, 1), v)
 
     def test_block_mean(self):
         d = np.zeros((1, 2, 2))
         d[0, 0, 0] = 1.0
-        v = downsample_voxel(VoxelGrid(d, 0, 10), 2)
-        assert v.data.shape == (1, 1, 1)
-        assert v.data[0, 0, 0] == 0.25
+        v = downsample_voxel(d, 2)
+        assert v.shape == (1, 1, 1)
+        assert v[0, 0, 0] == 0.25
 
     def test_zero_grid(self):
-        v = downsample_voxel(VoxelGrid(np.zeros((2, 8, 8)), 0, 10), 4)
-        assert np.all(v.data == 0.0)
+        v = downsample_voxel(np.zeros((2, 8, 8)), 4)
+        assert np.all(v == 0.0)
 
     def test_indivisible_factor(self):
         with pytest.raises(ValueError, match="divide"):
-            downsample_voxel(VoxelGrid(np.zeros((1, 6, 6)), 0, 10), 4)
+            downsample_voxel(np.zeros((1, 6, 6)), 4)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_batch_pools_each_grid_alone(self, factor):
+        batch = np.random.default_rng(6).normal(size=(3, 2, 8, 12))
+        alone = np.stack([downsample_voxel(v, factor) for v in batch])
+        assert downsample_voxel(batch, factor).tobytes() == alone.tobytes()
 
 
 class TestReferencePoints:
     def test_empty_grid_no_points(self):
-        refs = extract_reference_points(VoxelGrid(np.zeros((3, 4, 4)), 0, 10))
+        refs = extract_reference_points(np.zeros((3, 4, 4)))
         assert len(refs) == 0
 
     def test_single_event_single_point(self):
@@ -132,15 +147,28 @@ class TestReferencePoints:
         assert (refs.ys[0], refs.xs[0]) == (1, 2)
 
     def test_dense_grid_all_points(self):
-        v = VoxelGrid(np.ones((2, 3, 5)), 0, 10)
+        v = np.ones((2, 3, 5))
         refs = extract_reference_points(v)
         assert len(refs) == 15
+        assert (refs.height, refs.width) == (3, 5)
+
+    def test_batch_stacks_grids_along_rows(self):
+        # grid n's point (y, x) is row n*H + y of one set over N*H rows
+        g = np.random.default_rng(7)
+        batch = g.normal(size=(2, 3, 6, 5)) * (g.random((2, 3, 6, 5)) > 0.9)
+        batch[1, :, 0, 0] = 1.0
+        refs = extract_reference_points(batch, scale=4)
+        alone = [extract_reference_points(v, scale=4) for v in batch]
+        assert (refs.scale, refs.height, refs.width) == (4, 12, 5)
+        assert refs.ys.tolist() == alone[0].ys.tolist() + (alone[1].ys + 6).tolist()
+        assert refs.xs.tolist() == alone[0].xs.tolist() + alone[1].xs.tolist()
+        assert len(alone[0]) > 0 and len(alone[1]) > 0
 
     def test_row_major_order(self):
         d = np.zeros((1, 4, 4))
         d[0, 2, 1] = 1.0
         d[0, 0, 3] = -1.0
-        refs = extract_reference_points(VoxelGrid(d, 0, 10))
+        refs = extract_reference_points(d)
         assert list(refs.ys) == [0, 2]
         assert list(refs.xs) == [3, 1]
 
