@@ -17,8 +17,8 @@ PALETTE = np.array([
 
 def write_pgm(img, path):
     img = np.asarray(img)
-    if img.ndim != 2:
-        raise ValueError("PGM expects a 2-D image")
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError("PGM expects a non-empty 2-D image")
     if img.dtype != np.uint8:
         if img.min() < 0 or img.max() > 255:
             raise ValueError("PGM values must fit in 8 bits")
@@ -29,36 +29,20 @@ def write_pgm(img, path):
 
 
 def read_pgm(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    fields, offset = _read_pnm_header(data, b"P5", 3, path)
-    w, h, maxval = fields
-    if maxval > 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported")
-    body = data[offset:offset + w * h]
-    if len(body) != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w).copy()
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_ppm(img, path):
     img = np.asarray(img, dtype=np.uint8)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("PPM expects an H*W*3 image")
+    if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
+        raise ValueError("PPM expects a non-empty H*W*3 image")
     with open(path, "wb") as f:
         f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(img.tobytes())
 
 
 def read_ppm(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    fields, offset = _read_pnm_header(data, b"P6", 3, path)
-    w, h, _ = fields
-    body = data[offset:offset + w * h * 3]
-    if len(body) != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _read_pnm(path, b"P6", 3)
 
 
 def colorize_labels(labels):
@@ -66,12 +50,16 @@ def colorize_labels(labels):
     return PALETTE[labels % len(PALETTE)]
 
 
-def _read_pnm_header(data, magic, nfields, path):
+def _read_pnm(path, magic, channels):
+    """(H, W, channels) pixels of an 8-bit binary PNM file of at least 1x1;
+    anything else is a ValueError naming the path."""
+    with open(path, "rb") as f:
+        data = f.read()
     if not data.startswith(magic):
         raise ValueError(f"{path}: not a {magic.decode()} file")
     fields = []
     pos = len(magic)
-    while len(fields) < nfields:
+    while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":
@@ -81,5 +69,17 @@ def _read_pnm_header(data, magic, nfields, path):
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise ValueError(f"{path}: header field {len(fields) + 1} is "
+                             f"{data[start:pos]!r}, not a decimal number")
         fields.append(int(data[start:pos]))
-    return fields, pos + 1
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image size {width}x{height}, must be at least 1x1")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: maxval {maxval}, only 8-bit images (1..255) are read")
+    size = width * height * channels
+    body = data[pos + 1:pos + 1 + size]
+    if len(body) != size:
+        raise ValueError(f"{path}: truncated pixel data")
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels).copy()

@@ -53,8 +53,10 @@ class NetworkConfig:
 
     def __post_init__(self):
         self.scales = tuple(tuple(s) for s in self.scales)
-        if self.timesteps < 1 or self.bins < 1:
-            raise ValueError("timesteps and bins must be >= 1")
+        if min(self.timesteps, self.bins, self.input_channels, self.num_classes,
+               self.k_points, self.adaptor_ratio) < 1:
+            raise ValueError("timesteps, bins, input_channels, num_classes, k_points "
+                             "and adaptor_ratio must be >= 1")
         if not self.scales:
             raise ValueError("need at least one scale")
         if any(isinstance(v, bool) or not isinstance(v, int)
@@ -62,8 +64,8 @@ class NetworkConfig:
             raise ValueError("scale factors and channel widths must be integers")
         prev = 1
         for factor, channels in self.scales:
-            if factor <= prev and prev != 1:
-                raise ValueError("scale factors must be strictly increasing")
+            if factor < 1 or (factor <= prev and prev != 1):
+                raise ValueError("scale factors must be >= 1 and strictly increasing")
             if factor % prev:
                 raise ValueError("each scale factor must be a multiple of the previous")
             if channels < 1:
@@ -99,7 +101,7 @@ def config_from_dict(cls, values, where):
             raise ValueError(f"{where}: {key!r} must be {types[key]}, got {value!r}")
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

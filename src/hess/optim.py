@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import HybridNetwork, forward, loss
+from .voxel import voxelize
 
 
 @dataclass
@@ -80,10 +81,15 @@ class AdamW:
 
 
 def prepare_batches(samples, bins):
-    """Precompute per-sample model inputs: frames, raw voxels, labels."""
-    frames = np.stack([s.frame_input() for s in samples])
-    voxels = np.stack([s.voxel(bins) for s in samples])
-    labels = np.stack([s.labels.astype(np.int64) for s in samples])
+    """Frames (N, 1, H, W) in [0, 1], raw voxels (N, B, H, W), each binned
+    into the batch over its own events' span, and int64 labels (N, H, W)."""
+    frames = np.stack([s.frame for s in samples])[:, None] / 255.0
+    labels = np.stack([s.labels for s in samples]).astype(np.int64)
+    voxels = np.zeros((len(samples), bins) + frames.shape[2:])
+    for s, grid in zip(samples, voxels):
+        if len(s.events):
+            t0, t1 = int(s.events.ts[0]), int(s.events.ts[-1])
+            voxelize(s.events, bins, t0, max(t1, t0 + 1), out=grid)
     return frames, voxels, labels
 
 

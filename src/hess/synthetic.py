@@ -17,7 +17,6 @@ import numpy as np
 
 from .events import EventStream, make_stream, read_events, write_events
 from .imgio import read_pgm, write_pgm
-from .voxel import voxelize
 
 BACKGROUND_LEVEL = 0.45
 CONTRAST_THRESHOLD = 0.15
@@ -64,33 +63,32 @@ class Scene:
     config: SynthConfig
     shapes: list[_Shape] = field(default_factory=list)
 
-    def _positions(self, t):
-        for s in self.shapes:
-            y = _reflect(s.y0 + s.vy * t, s.half_h, self.config.height - 1 - s.half_h)
-            x = _reflect(s.x0 + s.vx * t, s.half_w, self.config.width - 1 - s.half_w)
-            yield s, y, x
-
     def render(self, t):
         """Normalized grayscale image at time t (float in [0, 1])."""
-        cfg = self.config
-        img = np.full((cfg.height, cfg.width), BACKGROUND_LEVEL)
-        yy = np.arange(cfg.height)[:, None]
-        xx = np.arange(cfg.width)[None, :]
-        for s, y, x in self._positions(t):
-            inside = (np.abs(yy - y) <= s.half_h) & (np.abs(xx - x) <= s.half_w)
-            img[inside] = s.level
-        return img
+        return self._paint(t, BACKGROUND_LEVEL, np.float64, "level")
 
     def labels(self, t):
-        """Class-id map at time t (background is 0; later shapes on top)."""
+        """Class-id map at time t (background is 0)."""
+        return self._paint(t, 0, np.uint8, "class_id")
+
+    def _paint(self, t, background, dtype, attr):
+        """Each shape's ``attr`` over the background, later shapes on top,
+        on the pixels (i, j) with |i - y| <= half_h and |j - x| <= half_w
+        around its center (y, x) at time t."""
         cfg = self.config
-        lab = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
-        yy = np.arange(cfg.height)[:, None]
-        xx = np.arange(cfg.width)[None, :]
-        for s, y, x in self._positions(t):
-            inside = (np.abs(yy - y) <= s.half_h) & (np.abs(xx - x) <= s.half_w)
-            lab[inside] = s.class_id
-        return lab
+        img = np.full((cfg.height, cfg.width), background, dtype)
+        for s in self.shapes:
+            y = _reflect(s.y0 + s.vy * t, s.half_h, cfg.height - 1 - s.half_h)
+            x = _reflect(s.x0 + s.vx * t, s.half_w, cfg.width - 1 - s.half_w)
+            img[_span(cfg.height, y, s.half_h), _span(cfg.width, x, s.half_w)] = getattr(s, attr)
+        return img
+
+
+def _span(n, center, half):
+    """Slice of the indices i in [0, n) with |i - center| <= half. The
+    rounded i - center grows with i, so they are consecutive."""
+    inside = np.flatnonzero(np.abs(np.arange(n) - center) <= half)
+    return slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
 
 
 def _reflect(pos, lo, hi):
@@ -149,16 +147,19 @@ def render_sequence(scene: Scene, config: SynthConfig):
     frames, labels = [], []
     for m, t in enumerate(step_times):
         cur = scene.render(t)
-        diff = cur - prev
-        fy, fx = np.nonzero(np.abs(diff) > CONTRAST_THRESHOLD)
-        if len(fy):
+        diff = (cur - prev).ravel()
+        # |diff| > threshold, without an image-sized abs temporary
+        fired = np.flatnonzero((diff > CONTRAST_THRESHOLD) | (diff < -CONTRAST_THRESHOLD))
+        if len(fired):
+            fy, fx = np.divmod(fired, cfg.width)
             xs.append(fx)
             ys.append(fy)
-            ts.append(np.full(len(fy), t, dtype=np.int64))
-            ps.append(np.sign(diff[fy, fx]).astype(np.int64))
+            ts.append(np.full(len(fired), t, dtype=np.int64))
+            ps.append(np.sign(diff[fired]).astype(np.int64))
         prev = cur
         if (m + 1) % cfg.micro_steps == 0:
-            frames.append(np.round(cur * 255).astype(np.uint8))
+            gray = cur * 255
+            frames.append(np.rint(gray, out=gray).astype(np.uint8))
             labels.append(scene.labels(t))
 
     if xs:
@@ -183,20 +184,6 @@ class SegSample:
     events: EventStream
     t_lo: int
     t_hi: int
-
-    def frame_input(self):
-        return (self.frame.astype(np.float64) / 255.0)[None]   # (1, H, W)
-
-    def voxel(self, bins):
-        """B*H*W grid of the events over their own time span (all zero
-        when the window holds no event)."""
-        if len(self.events):
-            t0 = int(self.events.ts[0])
-            t1 = int(self.events.ts[-1])
-            if t1 <= t0:
-                t1 = t0 + 1   # degenerate single-instant window
-            return voxelize(self.events, bins, t0, t1)
-        return np.zeros((bins, self.frame.shape[0], self.frame.shape[1]))
 
 
 def make_samples(seed, config: SynthConfig, max_events=6400):

@@ -16,15 +16,20 @@ import numpy as np
 from .events import EventStream
 
 
-def voxelize(stream: EventStream, bins, t_start, t_end) -> np.ndarray:
-    """Accumulate a stream into a B*H*W grid over [t_start, t_end]."""
+def voxelize(stream: EventStream, bins, t_start, t_end, out=None) -> np.ndarray:
+    """Accumulate a stream into a B*H*W grid over [t_start, t_end]: a new
+    zero grid, or ``out`` (C-contiguous float64, added to and returned)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if t_end <= t_start:
         raise ValueError("voxel window must satisfy t_start < t_end")
-    data = np.zeros((bins, stream.height, stream.width))
+    shape = (bins, stream.height, stream.width)
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     if len(stream) == 0:
-        return data
+        return out
     ts = stream.ts
     if ts[0] < t_start or ts[-1] > t_end:
         raise ValueError("events outside the voxel window")
@@ -32,13 +37,13 @@ def voxelize(stream: EventStream, bins, t_start, t_end) -> np.ndarray:
     b0 = np.floor(scaled).astype(np.int64)
     frac = scaled - b0
     ps = stream.ps.astype(np.float64)
-    flat = data.reshape(bins, -1)
+    flat = out.reshape(bins, -1)
     pix = stream.ys * stream.width + stream.xs
     lo_ok = (b0 >= 0) & (b0 < bins)
     np.add.at(flat, (b0[lo_ok], pix[lo_ok]), (ps * (1.0 - frac))[lo_ok])
     hi_ok = (b0 + 1 < bins) & (frac > 0)
     np.add.at(flat, (b0[hi_ok] + 1, pix[hi_ok]), (ps * frac)[hi_ok])
-    return data
+    return out
 
 
 def znorm(v, eps=1e-8):

@@ -1,0 +1,122 @@
+"""The data path from scene to training batch: make_samples, then
+prepare_batches.
+
+Every number the repository trains or evaluates on comes from these bytes,
+so they are pinned by digest, and prepare_batches is checked against a
+per-sample reference built from voxelize alone."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from hess.optim import prepare_batches
+from hess.synthetic import (BACKGROUND_LEVEL, SynthConfig, _reflect, _span,
+                            build_scene, make_samples)
+from hess.voxel import voxelize
+
+# (seed, SynthConfig fields, max_events, bins) -> sha256 of the bytes, dtype
+# and shape of every frame, label map and event record of make_samples, and
+# of the three prepare_batches arrays. 16x16 caps windows at 40 events and,
+# with one micro-step per frame, gives single-instant windows; the
+# shapeless scene gives all-empty windows.
+DIGEST_CASES = {
+    "16x16": (5, dict(width=16, height=16, num_shapes=2, frame_count=12,
+                      micro_steps=1), 40, 3,
+              "51bf532857e5f6d68e2eba199a6e511d0faac78f54ace315467fca28ed30ac4a"),
+    "64x64": (11, dict(frame_count=10), 6400, 5,
+              "b78e8b886e927d9816592a6b69ddcfebc9e16b4090cc05d9fed61b4fe5e62f7c"),
+    "256x256": (23, dict(width=256, height=256, num_shapes=6, frame_count=3),
+                6400, 5,
+                "4786c04cf7b9a2a5bb5e68b1d09ef89c5aa35a4e5b6e1470af292e1e804ff80c"),
+    "empty": (2, dict(num_shapes=0, frame_count=3), 6400, 1,
+              "52a183d19345be0bd4e6560aebe5311650eed88ef12aac993155bbc3b3d6c21a"),
+}
+
+
+def _update(h, a):
+    h.update(f"{a.dtype}|{a.shape}|".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def data_digest(seed, fields, max_events, bins):
+    samples = make_samples(seed, SynthConfig(**fields), max_events=max_events)
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(f"{s.events.width}x{s.events.height}|{s.t_lo}|{s.t_hi}|".encode())
+        for a in (s.frame, s.labels, s.events.events):
+            _update(h, a)
+    for a in prepare_batches(samples, bins):
+        _update(h, a)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_data_bytes_pinned(case):
+    *args, expected = DIGEST_CASES[case]
+    assert data_digest(*args) == expected
+
+
+def test_prepare_batches_matches_per_sample_reference():
+    samples = make_samples(5, SynthConfig(width=16, height=16, num_shapes=2,
+                                          frame_count=12, micro_steps=1), max_events=40)
+    assert any(len(s.events) == 0 for s in samples)
+    frames, voxels, labels = prepare_batches(samples, 3)
+    for i, s in enumerate(samples):
+        assert frames[i].tobytes() == (s.frame.astype(np.float64) / 255.0)[None].tobytes()
+        assert labels[i].tobytes() == s.labels.astype(np.int64).tobytes()
+        if len(s.events):
+            t0, t1 = int(s.events.ts[0]), int(s.events.ts[-1])
+            want = voxelize(s.events, 3, t0, t1 if t1 > t0 else t0 + 1)
+        else:
+            want = np.zeros((3, 16, 16))
+        assert voxels[i].tobytes() == want.tobytes()
+
+
+def test_scene_boxes_match_full_image_masks():
+    # the per-shape row and column spans cover exactly the pixels of the
+    # full-image test |yy - y| <= half_h & |xx - x| <= half_w
+    cfg = SynthConfig(width=37, height=23, num_shapes=5, min_size=2, max_size=19)
+    scene = build_scene(8, cfg)
+    yy = np.arange(cfg.height)[:, None]
+    xx = np.arange(cfg.width)[None, :]
+    for t in range(0, cfg.duration_us, 4321):
+        img = np.full((cfg.height, cfg.width), BACKGROUND_LEVEL)
+        lab = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
+        for s in scene.shapes:
+            y = _reflect(s.y0 + s.vy * t, s.half_h, cfg.height - 1 - s.half_h)
+            x = _reflect(s.x0 + s.vx * t, s.half_w, cfg.width - 1 - s.half_w)
+            inside = (np.abs(yy - y) <= s.half_h) & (np.abs(xx - x) <= s.half_w)
+            img[inside] = s.level
+            lab[inside] = s.class_id
+        assert scene.render(t).tobytes() == img.tobytes()
+        assert scene.labels(t).tobytes() == lab.tobytes()
+
+
+@pytest.mark.parametrize("center, half", [(3.0, 2.0), (3.5, 0.4), (0.0, 1.0),
+                                          (7.9, 0.5), (5.0, 0.0), (2.5, 100.0)])
+def test_span_is_the_set_of_indices_within_half(center, half):
+    want = [i for i in range(8) if abs(i - center) <= half]
+    assert list(range(8)[_span(8, center, half)]) == want
+
+
+def test_voxelize_accumulates_into_out():
+    samples = make_samples(11, SynthConfig(frame_count=3))
+    stream = samples[1].events
+    t0, t1 = int(stream.ts[0]), int(stream.ts[-1])
+    fresh = voxelize(stream, 4, t0, t1)
+    out = np.full((4, 64, 64), 0.5)
+    assert voxelize(stream, 4, t0, t1, out=out) is out
+    assert np.array_equal(out - 0.5, fresh)
+    batch = np.zeros((2, 4, 64, 64))
+    voxelize(stream, 4, t0, t1, out=batch[1])
+    assert not batch[0].any() and batch[1].tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.zeros((4, 64, 63)), np.zeros((3, 64, 64)),
+                                 np.zeros((4, 64, 64), np.float32),
+                                 np.zeros((4, 64, 128))[..., ::2]])
+def test_voxelize_rejects_a_mismatched_out(out):
+    stream = make_samples(11, SynthConfig(frame_count=3))[1].events
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+        voxelize(stream, 4, 0, 100_000, out=out)

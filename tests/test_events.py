@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,36 @@ class TestImgIO:
         p = tmp_path / "x.ppm"
         write_ppm(img, p)
         assert np.array_equal(read_ppm(p), img)
+
+    def test_header_comments_and_small_maxval(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_bytes(b"P5\n# made by hand\n2 1 # two pixels\n15\n\x01\x0f")
+        assert read_pgm(p).tolist() == [[1, 15]]
+
+    @pytest.mark.parametrize("reader, data, message", [
+        (read_ppm, b"P6\n2 1\n65535\n" + bytes(range(12)), "maxval 65535"),
+        (read_pgm, b"P5\n2 1\n65535\n" + bytes(4), "maxval 65535"),
+        (read_pgm, b"P5\n2 1\n0\n\x00\x00", "maxval 0"),
+        (read_pgm, b"P5\n0 5\n255\n", "image size 0x5"),
+        (read_ppm, b"P6\n3 0\n255\n", "image size 3x0"),
+        (read_pgm, b"P5\n-2 2\n255\n" + bytes(4), "field 1 is b'-2'"),
+        (read_ppm, b"P6\n2 -1\n255\n" + bytes(6), "field 2 is b'-1'"),
+        (read_pgm, b"P5\n2 ", "field 2 is b''"),
+        (read_pgm, b"P5\n2 2\n255", "truncated pixel data"),
+        (read_ppm, b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
+        (read_ppm, b"P5\n1 1\n255\n\x00", "not a P6 file"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, reader, data, message):
+        p = tmp_path / "bad.pnm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{re.escape(message)}"):
+            reader(p)
+
+    def test_empty_image_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="non-empty"):
+            write_pgm(np.zeros((0, 4), np.uint8), tmp_path / "e.pgm")
+        with pytest.raises(ValueError, match="non-empty"):
+            write_ppm(np.zeros((2, 0, 3), np.uint8), tmp_path / "e.ppm")
 
     def test_palette_shape(self):
         lab = np.array([[0, 1], [2, 18]])

@@ -56,6 +56,17 @@ class TestBuild:
             NetworkConfig(scales=())
         with pytest.raises(ValueError, match="integers"):
             NetworkConfig(scales=((2.0, 8), (4, 8)))
+        # a zero factor used to pass and then divide by zero at the next scale
+        with pytest.raises(ValueError, match="scale factors must be >= 1"):
+            NetworkConfig(scales=((0, 8), (4, 8)))
+
+    @pytest.mark.parametrize("field", ["input_channels", "num_classes", "k_points",
+                                       "adaptor_ratio", "timesteps", "bins"])
+    def test_counts_below_one_rejected(self, field):
+        # adaptor_ratio 0 used to raise ZeroDivisionError; the others built a
+        # network of empty arrays
+        with pytest.raises(ValueError, match=f"{field}.* must be >= 1"):
+            NetworkConfig(**{field: 0})
 
     def test_zero_initialized_injection_heads(self):
         net = small_net()
@@ -318,7 +329,12 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old,new", [
         (b'"adaptor_ratio"', b'"bdaptor_ratio"'),   # one flipped byte in a key
         (b'"tau": 2.0', b'"tau": "2"'),             # a string for a float
-        (b'"atw_on": true', b'"atw_on": 1   ')])    # a number for a bool
+        (b'"atw_on": true', b'"atw_on": 1   '),     # a number for a bool
+        # one flipped byte each; these raised ZeroDivisionError and
+        # OverflowError before the counts and factors were checked
+        (b'"adaptor_ratio": 2', b'"adaptor_ratio": 0'),
+        (b'"input_channels": 1', b'"input_channels":-1'),
+        (b'"scales": [[2,', b'"scales": [[0,')])
     def test_corrupted_config_raises_value_error(self, tmp_path, old, new):
         p = tmp_path / "net.hess"
         save_checkpoint(small_net(18), p)
