@@ -17,6 +17,7 @@ Three modules couple the frame (ANN) and event (SNN) branches:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,15 @@ def atw_collapse(f_snn, alpha):
     return (f_snn * alpha.reshape((n, t, c, 1, 1))).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=64)
 def _base_grid(h, w, k):
+    """(H*W*K, 2) float64 texel positions, each repeated K times (read-only)."""
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     pts = np.stack([ys.reshape(-1), xs.reshape(-1)], axis=1)     # (H*W, 2)
-    return np.repeat(pts, k, axis=0)                             # (H*W*K, 2)
+    grid = np.repeat(pts, k, axis=0)                             # (H*W*K, 2)
+    grid.flags.writeable = False
+    return grid
 
 
 def atw_inject(f_ann, f_snn_w, params: ATWParams):

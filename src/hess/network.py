@@ -3,11 +3,11 @@ spiking stages with sparse injection, channel-selection fusion per scale
 and a small multi-scale segmentation head.
 
 Frame stages are conv3x3 -> single-group normalization -> ReLU; spiking
-stages are a conv3x3 shared across timesteps followed by LIF neurons, and
-the spike tensor is N*T*C*H*W throughout. At each scale the spike tensor
-is injected into the frame features, the frame features are injected back
-into the spike stream at event-anchored reference points, and the two
-branches are fused. Fused maps from every
+stages are a conv3x3 shared across timesteps (one call over the N*T maps)
+followed by LIF neurons, and the spike tensor is N*T*C*H*W throughout. At
+each scale the spike tensor is injected into the frame features, the frame
+features are injected back into the spike stream at event-anchored
+reference points, and the two branches are fused. Fused maps from every
 scale are projected to a common width, upsampled to the finest scale,
 summed and classified by a 1x1 convolution.
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import fusion, ops
 from .spiking import LIFConfig, lif_forward_seq
-from .tensor import (Tensor, constant, cost_scope, fan_in_uniform, no_grad,
-                     parameter, stack, unstack)
+from .tensor import Tensor, constant, cost_scope, fan_in_uniform, no_grad, parameter
 from .voxel import downsample_voxel, extract_reference_points, znorm
 
 CHECKPOINT_MAGIC = b"HESS"
@@ -235,8 +234,7 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
             raise ValueError("bins must equal timesteps (one bin per step)")
         if not np.isfinite(raw).all():
             raise ValueError("voxel data must be finite")
-        normed = znorm(raw)
-        snn_inputs = [constant(normed[:, t][:, None]) for t in range(cfg.timesteps)]
+        snn_in = constant(znorm(raw)[:, :, None])    # N*T*1*H*W, one bin per step
         refs_per_scale = [extract_reference_points(downsample_voxel(raw, factor),
                                                    scale=factor)
                           for factor, _ in cfg.scales]
@@ -249,9 +247,9 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
         a = ops.group_norm(a_pre, stage.norm_gamma, stage.norm_beta).relu()
         if events_on:
             with cost_scope(f"stage{i}.snn", kind="snn"):
-                currents = [ops.conv2d(x, stage.snn_w, stage.snn_b,
-                                       stride=stage.stride, pad=1) for x in snn_inputs]
-            spikes = lif_forward_seq(stack(currents, axis=1), cfg.lif(), smooth=smooth)
+                currents = ops.conv2d(snn_in, stage.snn_w, stage.snn_b,
+                                      stride=stage.stride, pad=1)
+            spikes = lif_forward_seq(currents, cfg.lif(), smooth=smooth)
             if cfg.atw_on:
                 with cost_scope(f"atw{i}"):
                     a = fusion.atw_apply(a, spikes, net.atw[i])
@@ -266,7 +264,7 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
                     fused = fusion.csf_fuse(a, sn, pa, ps)
             else:
                 fused = a + sn.sum(axis=1)
-            snn_inputs = unstack(sn, axis=1)
+            snn_in = sn
         elif cfg.csf_on:
             with cost_scope(f"csf{i}"):
                 fused = fusion.csf_select(a, net.csf[i][0])

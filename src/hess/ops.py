@@ -47,12 +47,16 @@ def conv2d(x, w, b, stride=1, pad=0):
     """Cross-correlation of N*Cin*H*W input with Cout*Cin*Kh*Kw weights.
 
     Output spatial size is floor((H + 2*pad - Kh)/stride) + 1 per axis.
-    Kernel sides must be odd.
+    Kernel sides must be odd. A 5-D N*T*Cin*H*W input is T timesteps
+    sharing the kernel (the spiking stages): one call over the N*T maps
+    gives N*T*Cout*OH*OW, bit for bit what T calls on the timesteps give,
+    and charges the MACs once per timestep.
     """
     x, w, b = constant(x), constant(w), constant(b)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError("conv2d expects 4-D input and weight")
-    n, cin, h, ww = x.shape
+    if x.ndim not in (4, 5) or w.ndim != 4:
+        raise ValueError("conv2d expects 4-D (or N*T*C*H*W) input and 4-D weight")
+    steps = x.shape[1] if x.ndim == 5 else 1
+    cin, h, ww = x.shape[-3:]
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={cin_w}")
@@ -67,21 +71,45 @@ def conv2d(x, w, b, stride=1, pad=0):
     if oh < 1 or ow < 1:
         raise ValueError("conv2d output would be empty")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*Kh*Kw, L)
+    xd = x.data.reshape(-1, cin, h, ww)                   # (M, Cin, H, W) maps
+    maps = xd.shape[0]
+    xp = xd
+    if pad:
+        xp = np.zeros((maps, cin, h + 2 * pad, ww + 2 * pad), dtype=xd.dtype)
+        xp[:, :, pad:pad + h, pad:pad + ww] = xd
+    pointwise = kh == kw == 1 and stride == 1 and not pad
+    cols = (xd.reshape(maps, cin, h * ww) if pointwise      # (M, Cin*Kh*Kw, L)
+            else _im2col(xp, kh, kw, stride, oh, ow))
     wmat = w.data.reshape(cout, -1)                       # (Cout, Cin*Kh*Kw)
-    y = np.matmul(wmat, cols) + b.data[:, None]           # (N, Cout, L)
-    charge(y.size * cin * kh * kw, x.data)
-    out = Tensor(y.reshape(n, cout, oh, ow))
+    y = np.matmul(wmat, cols) + b.data[:, None]           # (M, Cout, L)
+    x_t = x.data.reshape(-1, steps, cin, h, ww)
+    for t in range(steps):
+        charge(y.size // steps * cin * kh * kw, x_t[:, t])
+    out = Tensor(y.reshape(x.shape[:-3] + (cout, oh, ow)))
 
     def backward(g):
-        gmat = g.reshape(n, cout, oh * ow)
-        dw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
-        db = gmat.sum(axis=(0, 2))
-        dcols = np.matmul(wmat.T, gmat)                   # (N, Cin*Kh*Kw, L)
-        dxp = _col2im(dcols, xp.shape, kh, kw, stride, oh, ow)
-        dx = dxp[:, :, pad:pad + h, pad:pad + ww] if pad else dxp
-        return dx, dw, db
+        gmat = g.reshape(maps, cout, oh * ow)
+        # per timestep, summed from the last one down: the order in which
+        # the tape adds up the gradients of T single-step calls
+        g_t = gmat.reshape(-1, steps, cout, oh * ow)
+        cols_t = cols.reshape(-1, steps, cols.shape[1], oh * ow)
+        dw = np.tensordot(g_t[:, -1], cols_t[:, -1], axes=([0, 2], [0, 2]))
+        db = g_t[:, -1].sum(axis=(0, 2))
+        for t in reversed(range(steps - 1)):
+            dw += np.tensordot(g_t[:, t], cols_t[:, t], axes=([0, 2], [0, 2]))
+            db += g_t[:, t].sum(axis=(0, 2))
+        dx = None
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat)               # (M, Cin*Kh*Kw, L)
+            if pointwise:
+                dx = dcols + 0.0     # col2im's sum into zeros: -0.0 becomes +0.0
+            else:
+                dx = _col2im(dcols, xp.shape, kh, kw, stride, oh, ow)
+                dx = dx[:, :, pad:pad + h, pad:pad + ww] if pad else dx
+            dx = dx.reshape(x.shape)
+            if x.ndim == 5:       # one gradient of the input's dtype, as for a stack
+                dx = dx.astype(x.data.dtype, copy=False)
+        return dx, dw.reshape(w.shape), db
 
     record_op([out], [x, w, b], backward)
     return out
@@ -155,6 +183,13 @@ def _map_index(m, index, shape):
     return index
 
 
+def _row_blocks(rows, width):
+    """Slices over ``rows`` rows of ``width`` values, 16K values (128 KiB of
+    float64) each, so a block's temporaries stay in cache."""
+    step = max(1, (1 << 14) // width)
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
 def bilinear_sample_many(maps, points, index=None):
     """Sample M maps (M*C*H*W) at fractional positions (R*P*2), giving
     R*P*C.
@@ -162,56 +197,85 @@ def bilinear_sample_many(maps, points, index=None):
     index (integers broadcastable to R*P) names the map each point reads;
     by default row r reads map r (R = M). Integer coordinates address
     texel centers; texels outside a map contribute zero (border-zero).
-    Differentiable in both the maps and the sampling positions.
+    Differentiable in both the maps and the sampling positions. Weights,
+    products and sums are float64 whatever the maps' dtype.
     """
     maps, points = constant(maps), constant(points)
     if maps.ndim != 4 or points.ndim != 3 or points.shape[2] != 2:
         raise ValueError("bilinear_sample_many expects M*C*H*W maps and R*P*2 points")
     m, c, h, w = maps.shape
     r, p = points.shape[:2]
-    index = _map_index(m, index, (r, p))
+    n = r * p
+    index = _map_index(m, index, (r, p)).reshape(n)
     # texel rows of all maps, then one zero row that out-of-map corners
     # read, so they add exactly +0 whatever the maps hold
-    flat = np.empty((m * h * w + 1, c), dtype=maps.data.dtype)
+    texels = m * h * w
+    flat = np.empty((texels + 1, c), dtype=maps.data.dtype)
     flat[:-1].reshape(m, h, w, c)[...] = maps.data.transpose(0, 2, 3, 1)
     flat[-1] = 0
-    base = index * (h * w)
-    y = points.data[:, :, 0]
-    x = points.data[:, :, 1]
+    y = points.data[:, :, 0].reshape(n, 1)
+    x = points.data[:, :, 1].reshape(n, 1)
     y0 = np.floor(y).astype(np.int64)
     x0 = np.floor(x).astype(np.int64)
-    fy = y - y0
+    fy = y - y0                 # float64 even for float32 points
     fx = x - x0
-    corners = []
-    for (yy, xx, wt) in (
-        (y0, x0, (1 - fy) * (1 - fx)),
-        (y0, x0 + 1, (1 - fy) * fx),
-        (y0 + 1, x0, fy * (1 - fx)),
-        (y0 + 1, x0 + 1, fy * fx),
-    ):
+    gy, gx = 1 - fy, 1 - fx
+    # corner k of point i: texel row idx[i, k], weight wt[i, k]
+    idx = np.empty((n, 4), dtype=np.int64)
+    wt = np.empty((n, 4))
+    base = (index * (h * w))[:, None]
+    for k, (yy, xx, wk) in enumerate(((y0, x0, gy * gx), (y0, x0 + 1, gy * fx),
+                                      (y0 + 1, x0, fy * gx), (y0 + 1, x0 + 1, fy * fx))):
         valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        idx = np.where(valid, base + yy * w + xx, m * h * w)
-        corners.append((idx, wt, flat[idx]))               # val: (R, P, C)
-    out_data = corners[0][1][:, :, None] * corners[0][2]
-    for (_, wt, val) in corners[1:]:
-        out_data += wt[:, :, None] * val
-    out = Tensor(out_data)
+        idx[:, k:k + 1] = np.where(valid, base + yy * w + xx, texels)
+        wt[:, k:k + 1] = wk
+    out_data = np.empty((n, c))
+    for b in _row_blocks(n, c):
+        acc = out_data[b]
+        np.multiply(wt[b, 0:1], np.take(flat, idx[b, 0], axis=0), out=acc)
+        for k in range(1, 4):
+            acc += wt[b, k:k + 1] * np.take(flat, idx[b, k], axis=0)
+    out = Tensor(out_data.reshape(r, p, c))
     charge(4 * out_data.size)    # one MAC per corner
 
     def backward(g):
+        g = g.reshape(n, c).astype(np.float64, copy=False)
         dmaps = None
         if maps.requires_grad:
+            # the u texel rows some corner reads, numbered 0..u-1
+            touched = np.zeros(texels + 1, dtype=bool)
+            touched[idx] = True
+            rows_read = np.flatnonzero(touched)
+            number = np.empty(texels + 1, dtype=np.int64)
+            number[rows_read] = np.arange(len(rows_read))
+            u = len(rows_read)
+            # one sparse operator, row k*u + j for corner k of read texel j,
+            # one column per point: its product sums each row in point
+            # order, the bits of one bincount per corner
+            from scipy import sparse
+            op = sparse.csc_matrix((wt.reshape(-1),
+                                    (number[idx] + np.arange(4) * u).reshape(-1),
+                                    np.arange(0, 4 * n + 1, 4)), shape=(4 * u, n))
+            acc = (op @ g).reshape(4, u, c)
+            sums = np.zeros((u, c), dtype=flat.dtype)
+            for k in range(4):
+                sums += acc[k].astype(flat.dtype, copy=False)
             dflat = np.zeros_like(flat)
-            for (idx, wt, _) in corners:
-                _scatter_add_rows(dflat, idx.reshape(-1),
-                                  (g * wt[:, :, None]).reshape(r * p, c))
+            dflat[rows_read] = sums
             dmaps = dflat[:-1].reshape(m, h, w, c).transpose(0, 3, 1, 2)
         dpts = None
         if points.requires_grad:
-            v00, v01, v10, v11 = (cr[2] for cr in corners)
-            ddy = (v10 - v00) * (1 - fx)[:, :, None] + (v11 - v01) * fx[:, :, None]
-            ddx = (v01 - v00) * (1 - fy)[:, :, None] + (v11 - v10) * fy[:, :, None]
-            dpts = np.stack([(g * ddy).sum(axis=2), (g * ddx).sum(axis=2)], axis=2)
+            dpts = np.empty((n, 2))
+            for b in _row_blocks(n, c):
+                v00, v01, v10, v11 = (np.take(flat, idx[b, k], axis=0) for k in range(4))
+                # corner differences in the maps' dtype, the rest in float64
+                ddy = (v10 - v00) * gx[b] + (v11 - v01) * fx[b]
+                ddx = (v01 - v00) * gy[b] + (v11 - v10) * fy[b]
+                ddy *= g[b]
+                ddx *= g[b]
+                ddy.sum(axis=1, out=dpts[b, 0])
+                ddx.sum(axis=1, out=dpts[b, 1])
+            dpts = dpts.reshape(r, p, 2)
         return dmaps, dpts
 
     record_op([out], [maps, points], backward)
@@ -283,9 +347,9 @@ def scatter_points_many(base, updates, iy, ix, index=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _resize_matrix(src, dst):
-    """Dense (dst, src) interpolation matrix: half-pixel mapping, clamped
-    at the borders (standard image resize)."""
+def _resize_matrix(src, dst, dtype):
+    """Dense (dst, src) interpolation matrix of ``dtype`` (read-only):
+    half-pixel mapping, clamped at the borders (standard image resize)."""
     pos = (np.arange(dst) + 0.5) * (src / dst) - 0.5
     i0 = np.floor(pos).astype(np.int64)
     frac = pos - i0
@@ -294,6 +358,8 @@ def _resize_matrix(src, dst):
     mat = np.zeros((dst, src))
     np.add.at(mat, (np.arange(dst), i0), 1.0 - frac)
     np.add.at(mat, (np.arange(dst), i1), frac)
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False
     return mat
 
 
@@ -308,8 +374,8 @@ def interp_resize(x, out_h, out_w):
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x
-    ay = _resize_matrix(h, out_h).astype(x.data.dtype)
-    ax_t = _resize_matrix(w, out_w).T.astype(x.data.dtype)
+    ay = _resize_matrix(h, out_h, x.data.dtype)
+    ax_t = _resize_matrix(w, out_w, x.data.dtype).T
     out = Tensor(np.matmul(np.matmul(ay, x.data), ax_t))
 
     def backward(g):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ class TrainConfig:
     augment_flip: bool = False   # random horizontal flip per visit
 
     def __post_init__(self):
+        for key in ("learning_rate", "weight_decay", "poly_power"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
+        if self.total_iterations < 1:
+            raise ValueError(f"total_iterations must be >= 1, got {self.total_iterations!r}")
+        if self.warmup_iterations < 0:
+            raise ValueError(f"warmup_iterations must be >= 0, got {self.warmup_iterations!r}")
         if self.warmup_iterations > self.total_iterations:
             raise ValueError("warmup must not exceed total iterations")
         if self.batch_size < 1:

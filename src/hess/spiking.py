@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, constant, record_op
+from .tensor import Tensor, constant, record_op, sigmoid_array
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ def lif_step(state: LIFState, x, cfg: LIFConfig):
 
 
 def _sigmoid_of(h, cfg: LIFConfig):
-    """sigmoid(alpha * (H - theta)), evaluated without overflow."""
-    z = cfg.surrogate_alpha * (h - cfg.v_threshold)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """sigmoid(alpha * (H - theta))."""
+    return sigmoid_array(cfg.surrogate_alpha * (h - cfg.v_threshold))
 
 
 def surrogate_grad(h, cfg: LIFConfig):
@@ -92,7 +90,10 @@ def surrogate_grad(h, cfg: LIFConfig):
     if h.dtype not in (np.float32, np.float64):
         h = h.astype(np.float64)
     sig = _sigmoid_of(h, cfg)
-    return cfg.surrogate_alpha * sig * (1.0 - sig)
+    rest = 1.0 - sig
+    sig *= cfg.surrogate_alpha
+    sig *= rest
+    return sig
 
 
 def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
@@ -125,15 +126,17 @@ def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
 
     def backward(g):
         surr = surrogate_grad(h, cfg)
-        dx = [None] * steps
+        dx = np.empty(g.shape, dtype=np.result_type(g, surr))
         carry = None
         for t in reversed(range(steps)):
-            dh = 0.0 + g[:, t] * surr[:, t]
+            dh = g[:, t] * surr[:, t]
+            dh += 0.0                     # -0.0 becomes +0.0
             if carry is not None:
-                dh = dh + carry * ~spike[:, t]
-            dx[t] = dh * inv_tau
-            carry = dh * (1.0 - inv_tau)
-        return (np.stack(dx, axis=1),)
+                carry *= ~spike[:, t]
+                dh += carry
+            np.multiply(dh, inv_tau, out=dx[:, t])
+            carry = np.multiply(dh, 1.0 - inv_tau, out=dh)
+        return (dx,)
 
     record_op([out], [x], backward)
     return out

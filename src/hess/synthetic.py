@@ -10,6 +10,7 @@ of the change. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -85,10 +86,24 @@ class Scene:
 
 
 def _span(n, center, half):
-    """Slice of the indices i in [0, n) with |i - center| <= half. The
-    rounded i - center grows with i, so they are consecutive."""
-    inside = np.flatnonzero(np.abs(np.arange(n) - center) <= half)
-    return slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
+    """Slice of the indices i in [0, n) with |i - center| <= half, in
+    float64. The rounded i - center grows with i, so they are consecutive:
+    the bounds start from ceil / floor of center -/+ half and step until
+    that exact test holds at both ends."""
+    def inside(i):
+        return abs(i - center) <= half
+
+    lo = min(max(math.ceil(center - half), 0), n)
+    hi = max(min(math.floor(center + half), n - 1), -1)
+    while lo > 0 and inside(lo - 1):
+        lo -= 1
+    while lo <= hi and not inside(lo):
+        lo += 1
+    while hi < n - 1 and inside(hi + 1):
+        hi += 1
+    while hi >= lo and not inside(hi):
+        hi -= 1
+    return slice(lo, hi + 1) if lo <= hi else slice(0, 0)
 
 
 def _reflect(pos, lo, hi):

@@ -3,7 +3,7 @@ with tape-based reverse-mode differentiation.
 
 The operator set is intentionally small: exactly what the two-branch
 segmentation network needs (elementwise arithmetic, reductions, matmul,
-reshape/stack/unstack) plus a finite-difference gradient checker.
+reshape/transpose) plus a finite-difference gradient checker.
 Structured ops (convolution, sampling, resizing) live in :mod:`hess.ops`
 and register themselves on the same tape.
 """
@@ -182,7 +182,11 @@ class Tensor:
         """Reverse-replay the tape from this scalar, filling ``.grad``.
 
         All parameters reachable from the loss accumulate d(loss)/d(param).
-        The tape is released afterwards; a second call raises.
+        The tape is released afterwards; a second call raises. A tensor
+        keeps its first gradient as the backward returned it, so a gradient
+        array may be shared and no backward writes into the gradients it
+        receives; the second is added out of place into a new array of the
+        first one's dtype, which later ones are added into.
         """
         if self.size != 1:
             raise ValueError("backward requires a scalar loss")
@@ -191,6 +195,7 @@ class Tensor:
         if self._record.released:
             raise RuntimeError("backward called twice on a released tape")
         self.grad = np.ones_like(self.data)
+        summed = set()     # ids of tensors whose .grad this pass allocated
         for rec in reversed(_tape.records):
             if rec.released:
                 continue
@@ -201,9 +206,13 @@ class Tensor:
                     if g is None or not parent.requires_grad:
                         continue
                     if parent.grad is None:
-                        parent.grad = np.array(g)   # copy: g may alias saved buffers
-                    else:
+                        parent.grad = np.asarray(g)
+                    elif id(parent) in summed:
                         parent.grad += g
+                    else:
+                        parent.grad = np.add(parent.grad, g,
+                                             out=np.empty_like(parent.grad))
+                        summed.add(id(parent))
                 for o in rec.outputs:
                     o.grad = None  # intermediates: free once consumed
             # each output points back at its record: dropping the record's
@@ -286,7 +295,8 @@ def record_op(outputs, parents, backward):
     """Register a multi-output op on the active tape.
 
     backward receives one upstream gradient per output (None where unused)
-    and returns one gradient per parent (None allowed). Outputs inherit
+    and returns one gradient per parent (None allowed); it must not write
+    into the gradients it receives, which the tape may share. Outputs inherit
     requires_grad from the parents; nothing is recorded under no_grad.
     """
     if _recording and any(p.requires_grad for p in parents):
@@ -300,7 +310,7 @@ def record_op(outputs, parents, backward):
 
 def _single(out_data, parents, backward_single):
     out = Tensor(out_data)
-    record_op([out], parents, lambda g: backward_single(g))
+    record_op([out], parents, backward_single)
     return out
 
 
@@ -368,11 +378,24 @@ def relu(a):
     return _single(out_data, [a], lambda g: (g * mask,))
 
 
+def sigmoid_array(z):
+    """sigmoid(z) of a float array, without overflow: with e = exp(-|z|),
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere (e <= 1, so
+    max(e, [z >= 0]) is the numerator)."""
+    z = np.asarray(z)
+    num = np.asarray(z >= 0, dtype=z.dtype)
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    num /= e
+    return num
+
+
 def sigmoid(a):
     a = constant(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = sigmoid_array(a.data)
     return _single(out_data, [a], lambda g: (g * out_data * (1.0 - out_data),))
 
 
@@ -426,32 +449,6 @@ def matmul(a, b):
     out_data = a.data @ b.data
     return _single(out_data, [a, b],
                    lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def stack(tensors, axis=0):
-    tensors = [constant(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _single(out_data, tensors, backward)
-
-
-def unstack(a, axis=0):
-    """Split a tensor into its slices along ``axis`` (the inverse of stack);
-    one op with one output per slice."""
-    a = constant(a)
-    lead = (slice(None),) * axis
-    outs = [Tensor(np.take(a.data, i, axis=axis)) for i in range(a.shape[axis])]
-
-    def backward(*grads):
-        full = np.empty_like(a.data)
-        for i, g in enumerate(grads):
-            full[lead + (i,)] = 0.0 if g is None else g
-        return (full,)
-
-    return record_op(outs, [a], backward)
 
 
 # -- gradient checking -----------------------------------------------------

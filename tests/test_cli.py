@@ -130,6 +130,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "error:" in err and "'k_points' must be int" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", float("nan")), ("learning_rate", -1.0),
+        ("weight_decay", float("inf")), ("poly_power", float("nan")),
+        ("total_iterations", -5), ("warmup_iterations", -1)])
+    def test_train_rejects_out_of_range_config_value(self, workspace, tmp_path, capsys,
+                                                      key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"train": {key: value}}))   # NaN, Infinity
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "m.hess").exists()
+
     @pytest.mark.parametrize("section", ["network", "train"])
     def test_train_rejects_unknown_config_key(self, workspace, tmp_path, capsys, section):
         cfg = tmp_path / "bad.json"

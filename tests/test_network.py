@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hess.network import (HybridNetwork, NetworkConfig, build, forward,
+from hess.network import (HybridNetwork, NetworkConfig, build, config_from_dict, forward,
                           load_checkpoint, loss, predict, save_checkpoint)
 from hess.optim import AdamW, TrainConfig, lr_at, train
 from hess.synthetic import SynthConfig, make_samples
@@ -261,6 +261,18 @@ class TestTraining:
     def test_warmup_validation(self):
         with pytest.raises(ValueError, match="warmup"):
             TrainConfig(total_iterations=10, warmup_iterations=20)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", float("nan")), ("learning_rate", -1e-3),
+        ("learning_rate", float("inf")), ("weight_decay", float("inf")),
+        ("weight_decay", -1e-4), ("poly_power", float("nan")),
+        ("poly_power", -0.9), ("total_iterations", -5), ("total_iterations", 0),
+        ("warmup_iterations", -1)])
+    def test_out_of_range_train_values_name_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"cfg.json: train: {key}"):
+            config_from_dict(TrainConfig, {key: value}, "cfg.json: train")
 
     def test_flip_augmentation_trains_and_is_deterministic(self):
         curves = []

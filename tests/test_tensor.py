@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from hess import ops
-from hess.tensor import (Tensor, constant, grad_check, no_grad, parameter, stack,
-                         unstack, using_dtype)
+from hess.tensor import Tensor, constant, grad_check, no_grad, parameter, using_dtype
 
 
 def rng(seed=0):
@@ -376,7 +375,7 @@ class TestGradCheck:
         assert grad_check(lambda: (ops.interp_resize(x4, 7, 9) ** 2.0).sum(),
                           [x4], eps=1e-5) <= 1e-4
 
-    def test_group_norm_and_stack_grads(self):
+    def test_group_norm_grads(self):
         g = rng(300)
         x = parameter(g.normal(size=(2, 3, 4, 4)))
         gamma = parameter(1.0 + 0.1 * g.normal(size=3))
@@ -384,37 +383,34 @@ class TestGradCheck:
 
         def fn():
             y = ops.group_norm(x, gamma, beta)
-            z = stack([y, y * 2.0], axis=1)
-            return (z * z).sum()
+            z = y * 2.0
+            return (y * y + z * z).sum()
 
         assert grad_check(fn, [x, gamma, beta], eps=1e-5) <= 1e-4
 
-    def test_unstack_grads_with_an_unused_slot(self):
+    def test_conv_over_time_grads(self):
         g = rng(302)
-        x = parameter(g.normal(size=(2, 3, 4)))
-        wgt = constant(g.normal(size=(2, 4)))
+        x = parameter(g.normal(size=(2, 3, 2, 5, 5)))
+        w = parameter(g.normal(size=(3, 2, 3, 3)) * 0.5)
+        b = parameter(g.normal(size=3) * 0.1)
+        wgt = constant(g.normal(size=(2, 3, 3, 3, 3)))
 
         def fn():
-            a, _, c = unstack(x, axis=1)
-            return (a * c * wgt).sum()
+            return (ops.conv2d(x, w, b, stride=2, pad=1).sigmoid() * wgt).sum()
 
-        assert grad_check(fn, [x], eps=1e-6) <= 1e-4
-        assert np.all(x.grad[:, 1] == 0.0)
-        parts = unstack(x, axis=2)
-        assert len(parts) == 4 and all(np.array_equal(p.data, x.data[:, :, i])
-                                       for i, p in enumerate(parts))
+        assert grad_check(fn, [x, w, b], eps=1e-6) <= 1e-4
 
-    def test_unstack_grad_has_the_input_dtype(self):
-        # the sampling positions' gradient is float64; the unstacked
-        # tensor's gradient is still one array of its own dtype
+    def test_conv_over_time_grad_has_the_input_dtype(self):
+        # the sampling positions' gradient is float64; the input of the
+        # conv over time still gets one gradient of its own dtype
         g = rng(303)
         with using_dtype(np.float32):
-            pts = parameter(g.uniform(0.2, 2.8, size=(1, 2, 5, 2)))
-            maps = constant(g.normal(size=(1, 2, 4, 4)))
-            first, second = unstack(pts, axis=1)
-            (ops.bilinear_sample_many(maps, first).sum() +
-             ops.bilinear_sample_many(maps, second).sum()).backward()
-        assert pts.grad.dtype == np.float32
+            x = parameter(g.uniform(0.2, 2.8, size=(1, 2, 1, 5, 2)))
+            w = constant(np.ones((1, 1, 1, 1)))
+            maps = constant(g.normal(size=(2, 2, 4, 4)))
+            pts = ops.conv2d(x, w, constant(np.zeros(1))).reshape((2, 5, 2))
+            ops.bilinear_sample_many(maps, pts).sum().backward()
+        assert x.grad.dtype == np.float32
 
     def test_cross_entropy_grad_and_hand_value(self):
         g = rng(301)
