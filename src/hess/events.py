@@ -66,9 +66,10 @@ class EventStream:
         if len(bad):
             raise ValueError(f"event {bad[0]} outside sensor geometry "
                              f"{self.width}x{self.height}")
-        bad = np.nonzero(~np.isin(ev["p"], (-1, 1)))[0]
+        p = ev["p"]
+        bad = np.nonzero((p != 1) & (p != -1))[0]
         if len(bad):
-            raise ValueError(f"event {bad[0]} has polarity {ev['p'][bad[0]]}, expected -1 or +1")
+            raise ValueError(f"event {bad[0]} has polarity {p[bad[0]]}, expected -1 or +1")
         dec = np.nonzero(np.diff(ev["t"].astype(np.int64)) < 0)[0]
         if len(dec):
             raise ValueError(f"event {dec[0] + 1} has decreasing timestamp")

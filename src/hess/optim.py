@@ -82,12 +82,6 @@ class AdamW:
     def state(self):
         return {"step": self.step_count, "m": self.m, "v": self.v}
 
-    def load_state(self, state):
-        self.step_count = int(state["step"])
-        for name in self.params:
-            self.m[name] = state["m"][name].copy()
-            self.v[name] = state["v"][name].copy()
-
 
 def prepare_batches(samples, bins):
     """Frames (N, 1, H, W) in [0, 1], raw voxels (N, B, H, W), each binned

@@ -53,21 +53,34 @@ class LIFState:
 
 
 def _two_sum(a, b):
+    # the tail (a - ap) + (b - bp) in place: asarray lets out= take a 0-d one
     s = a + b
-    ap = s - b
-    bp = s - ap
-    return s, (a - ap) + (b - bp)
+    ap = np.asarray(s - b)
+    bp = np.asarray(s - ap)
+    np.subtract(a, ap, out=ap)
+    np.subtract(b, bp, out=bp)
+    ap += bp
+    return s, ap
 
 
 def _step_arrays(state: LIFState, x, cfg: LIFConfig):
     """Raw membrane update. Returns (h, spike_mask, next_state)."""
-    d = ((x - state.v) - state.lo) / cfg.tau
-    y = state.lo + d
+    d = np.asarray(x - state.v)
+    d -= state.lo
+    d /= cfg.tau
+    y = np.add(state.lo, d, out=d)
     h, h_lo = _two_sum(state.v, y)
-    spike = ((h - cfg.v_threshold) + h_lo) >= 0.0
-    v_next = np.where(spike, cfg.v_reset, h)
-    lo_next = np.where(spike, 0.0, h_lo)
-    return h, spike, LIFState(v_next, lo_next)
+    over = h - cfg.v_threshold
+    over += h_lo
+    spike = over >= 0.0
+    # np.where(spike, v_reset or 0.0, h or h_lo) as masks on the integer view
+    itype = np.dtype(f"i{h.dtype.itemsize}")
+    keep = spike.astype(itype)
+    keep -= 1
+    lo_next = np.bitwise_and(h_lo.view(itype), keep, out=h_lo.view(itype)).view(h.dtype)
+    v_next = h.view(itype) & keep
+    v_next |= np.array(cfg.v_reset, h.dtype).view(itype) & ~keep
+    return h, spike, LIFState(v_next.view(h.dtype), lo_next)
 
 
 def lif_step(state: LIFState, x, cfg: LIFConfig):

@@ -10,7 +10,6 @@ of the change. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +23,8 @@ CONTRAST_THRESHOLD = 0.15
 # gray levels assigned to class ids 1, 2, ... (cycled); all at least 0.2
 # away from the background so edges always clear the contrast threshold
 CLASS_LEVELS = (0.85, 0.10, 0.70, 0.25, 0.95)
+# (value, dtype) of the pixels no shape covers, per painted shape attribute
+_BACKGROUND = {"level": (BACKGROUND_LEVEL, np.float64), "class_id": (0, np.uint8)}
 
 
 @dataclass
@@ -66,52 +67,63 @@ class Scene:
 
     def render(self, t):
         """Normalized grayscale image at time t (float in [0, 1])."""
-        return self._paint(t, BACKGROUND_LEVEL, np.float64, "level")
+        return self._paint(self._boxes([t])[0], "level")
 
     def labels(self, t):
         """Class-id map at time t (background is 0)."""
-        return self._paint(t, 0, np.uint8, "class_id")
+        return self._paint(self._boxes([t])[0], "class_id")
 
-    def _paint(self, t, background, dtype, attr):
-        """Each shape's ``attr`` over the background, later shapes on top,
-        on the pixels (i, j) with |i - y| <= half_h and |j - x| <= half_w
-        around its center (y, x) at time t."""
+    def _boxes(self, times):
+        """Per time, per shape, the (row start, row stop, column start,
+        column stop) of the pixels (i, j) with |i - y| <= half_h and
+        |j - x| <= half_w around the shape's center (y, x) at that time."""
         cfg = self.config
-        img = np.full((cfg.height, cfg.width), background, dtype)
-        for s in self.shapes:
-            y = _reflect(s.y0 + s.vy * t, s.half_h, cfg.height - 1 - s.half_h)
-            x = _reflect(s.x0 + s.vx * t, s.half_w, cfg.width - 1 - s.half_w)
-            img[_span(cfg.height, y, s.half_h), _span(cfg.width, x, s.half_w)] = getattr(s, attr)
+        t = np.asarray(times)[None, :]
+        rows = [(s.y0, s.x0, s.vy, s.vx, s.half_h, s.half_w) for s in self.shapes]
+        y0, x0, vy, vx, half_h, half_w = np.array(rows).reshape(-1, 6).T[..., None]
+        y = _reflect(y0 + vy * t, half_h, (cfg.height - 1) - half_h)
+        x = _reflect(x0 + vx * t, half_w, (cfg.width - 1) - half_w)
+        bounds = (*_span(cfg.height, y, half_h), *_span(cfg.width, x, half_w))
+        return np.stack(bounds, axis=-1).transpose(1, 0, 2).tolist()
+
+    def _paint(self, boxes, attr):
+        """Each shape's ``attr`` on its box over the background's, later
+        shapes on top."""
+        cfg = self.config
+        img = np.full((cfg.height, cfg.width), *_BACKGROUND[attr])
+        for (r0, r1, c0, c1), s in zip(boxes, self.shapes):
+            img[r0:r1, c0:c1] = getattr(s, attr)
         return img
 
 
 def _span(n, center, half):
-    """Slice of the indices i in [0, n) with |i - center| <= half, in
-    float64. The rounded i - center grows with i, so they are consecutive:
-    the bounds start from ceil / floor of center -/+ half and step until
-    that exact test holds at both ends."""
+    """(start, stop) of the indices i in [0, n) with |i - center| <= half,
+    in float64, elementwise over arrays of centers (stop <= start when
+    there are none). The rounded i - center grows with i, so they are
+    consecutive: the bounds start from ceil / floor of center -/+ half and
+    step until that exact test holds at both ends."""
     def inside(i):
-        return abs(i - center) <= half
+        return np.abs(i - center) <= half
 
-    lo = min(max(math.ceil(center - half), 0), n)
-    hi = max(min(math.floor(center + half), n - 1), -1)
-    while lo > 0 and inside(lo - 1):
-        lo -= 1
-    while lo <= hi and not inside(lo):
-        lo += 1
-    while hi < n - 1 and inside(hi + 1):
-        hi += 1
-    while hi >= lo and not inside(hi):
-        hi -= 1
-    return slice(lo, hi + 1) if lo <= hi else slice(0, 0)
+    lo = np.clip(np.ceil(center - half), 0, n).astype(np.int64)
+    hi = np.clip(np.floor(center + half), -1, n - 1).astype(np.int64)
+    while np.any(step := (lo > 0) & inside(lo - 1)):
+        lo -= step
+    while np.any(step := (lo <= hi) & ~inside(lo)):
+        lo += step
+    while np.any(step := (hi < n - 1) & inside(hi + 1)):
+        hi += step
+    while np.any(step := (hi >= lo) & ~inside(hi)):
+        hi -= step
+    return lo, hi + 1
 
 
 def _reflect(pos, lo, hi):
-    if hi <= lo:
-        return lo
-    span = hi - lo
-    z = (pos - lo) % (2.0 * span)
-    return lo + (z if z <= span else 2.0 * span - z)
+    """pos bounced back and forth inside [lo, hi], elementwise; lo if hi <= lo."""
+    # any positive span keeps the lanes that return lo finite
+    span = np.where(hi > lo, hi - lo, 1.0)
+    z = np.remainder(pos - lo, 2.0 * span)
+    return np.where(hi > lo, lo + np.where(z <= span, z, 2.0 * span - z), lo)
 
 
 def build_scene(seed, config: SynthConfig) -> Scene:
@@ -157,11 +169,12 @@ def render_sequence(scene: Scene, config: SynthConfig):
     frame_times = [step_times[(k + 1) * cfg.micro_steps - 1]
                    for k in range(cfg.frame_count)]
 
+    boxes = scene._boxes([0, *step_times])
     xs, ys, ts, ps = [], [], [], []
-    prev = scene.render(0)
+    prev = scene._paint(boxes[0], "level")
     frames, labels = [], []
     for m, t in enumerate(step_times):
-        cur = scene.render(t)
+        cur = scene._paint(boxes[m + 1], "level")
         diff = (cur - prev).ravel()
         # |diff| > threshold, without an image-sized abs temporary
         fired = np.flatnonzero((diff > CONTRAST_THRESHOLD) | (diff < -CONTRAST_THRESHOLD))
@@ -175,7 +188,7 @@ def render_sequence(scene: Scene, config: SynthConfig):
         if (m + 1) % cfg.micro_steps == 0:
             gray = cur * 255
             frames.append(np.rint(gray, out=gray).astype(np.uint8))
-            labels.append(scene.labels(t))
+            labels.append(scene._paint(boxes[m + 1], "class_id"))
 
     if xs:
         stream = make_stream(cfg.width, cfg.height,
@@ -208,17 +221,13 @@ def make_samples(seed, config: SynthConfig, max_events=6400):
     recent max_events events.
     """
     stream, frames, labels, frame_times = gen_synthetic(seed, config)
+    edges = [0, *frame_times]
     ts = stream.events["t"]
-    samples = []
-    t_prev = 0
-    for k, t_k in enumerate(frame_times):
-        start = int(np.searchsorted(ts, t_prev, side="right"))
-        stop = int(np.searchsorted(ts, t_k, side="right"))
-        start = max(start, stop - max_events)
-        samples.append(SegSample(frames[k], labels[k],
-                                 stream.slice(start, stop), t_prev, t_k))
-        t_prev = t_k
-    return samples
+    stops = np.searchsorted(ts, np.array(edges, ts.dtype), side="right").tolist()
+    return [SegSample(frames[k], labels[k],
+                      stream.slice(max(stops[k], stops[k + 1] - max_events), stops[k + 1]),
+                      edges[k], edges[k + 1])
+            for k in range(len(frame_times))]
 
 
 def save_dataset(samples, out_dir, meta=None):

@@ -2,7 +2,7 @@
 with tape-based reverse-mode differentiation.
 
 The operator set is intentionally small: exactly what the two-branch
-segmentation network needs (elementwise arithmetic, reductions, matmul,
+segmentation network needs (elementwise arithmetic, reductions,
 reshape/transpose) plus a finite-difference gradient checker.
 Structured ops (convolution, sampling, resizing) live in :mod:`hess.ops`
 and register themselves on the same tape.
@@ -170,9 +170,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -251,9 +248,6 @@ class Tensor:
 
     def __pow__(self, p):
         return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
@@ -438,17 +432,6 @@ def transpose(a, axes):
     inv = tuple(np.argsort(axes))
     out_data = np.ascontiguousarray(a.data.transpose(axes))
     return _single(out_data, [a], lambda g: (g.transpose(inv),))
-
-
-def matmul(a, b):
-    a, b = constant(a), constant(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-    return _single(out_data, [a, b],
-                   lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 # -- gradient checking -----------------------------------------------------

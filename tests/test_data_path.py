@@ -9,6 +9,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hess.optim import prepare_batches
 from hess.synthetic import (BACKGROUND_LEVEL, SynthConfig, _reflect, _span,
@@ -74,13 +76,16 @@ def test_prepare_batches_matches_per_sample_reference():
 
 
 def test_scene_boxes_match_full_image_masks():
-    # the per-shape row and column spans cover exactly the pixels of the
-    # full-image test |yy - y| <= half_h & |xx - x| <= half_w
+    # the per-shape row and column spans, computed for all times at once,
+    # cover exactly the pixels of the full-image test
+    # |yy - y| <= half_h & |xx - x| <= half_w, and so does the single-time
+    # render
     cfg = SynthConfig(width=37, height=23, num_shapes=5, min_size=2, max_size=19)
     scene = build_scene(8, cfg)
     yy = np.arange(cfg.height)[:, None]
     xx = np.arange(cfg.width)[None, :]
-    for t in range(0, cfg.duration_us, 4321):
+    times = list(range(0, cfg.duration_us, 4321))
+    for t, boxes in zip(times, scene._boxes(times)):
         img = np.full((cfg.height, cfg.width), BACKGROUND_LEVEL)
         lab = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
         for s in scene.shapes:
@@ -89,15 +94,73 @@ def test_scene_boxes_match_full_image_masks():
             inside = (np.abs(yy - y) <= s.half_h) & (np.abs(xx - x) <= s.half_w)
             img[inside] = s.level
             lab[inside] = s.class_id
+        assert scene._paint(boxes, "level").tobytes() == img.tobytes()
+        assert scene._paint(boxes, "class_id").tobytes() == lab.tobytes()
         assert scene.render(t).tobytes() == img.tobytes()
         assert scene.labels(t).tobytes() == lab.tobytes()
+
+
+def within(n, center, half):
+    return [i for i in range(n) if abs(i - center) <= half]
+
+
+def assert_spans_exact(n, centers, halves):
+    # the slices cover exactly the i in [0, n) with |i - center| <= half
+    start, stop = _span(n, centers, halves)
+    i = np.arange(n)
+    want = np.abs(i - centers[:, None]) <= np.asarray(halves)[..., None]
+    assert ((i >= start[:, None]) & (i < stop[:, None]) == want).all()
 
 
 @pytest.mark.parametrize("center, half", [(3.0, 2.0), (3.5, 0.4), (0.0, 1.0),
                                           (7.9, 0.5), (5.0, 0.0), (2.5, 100.0)])
 def test_span_is_the_set_of_indices_within_half(center, half):
-    want = [i for i in range(8) if abs(i - center) <= half]
-    assert list(range(8)[_span(8, center, half)]) == want
+    start, stop = _span(8, np.array([center]), half)
+    assert list(range(8)[start[0]:stop[0]]) == within(8, center, half)
+
+
+def test_span_at_rounding_edges():
+    # centers a few ulps from k -/+ half, where center -/+ half rounds onto
+    # or across the integer k and the ceil / floor start is off by one
+    g = np.random.default_rng(9)
+    k = g.integers(-5, 45, 100_000)
+    halves = np.concatenate([g.uniform(0, 30, 50_000), g.integers(0, 60, 50_000) / 2])
+    centers = k + g.choice([-1.0, 1.0], k.size) * halves
+    for _ in range(3):
+        centers = np.nextafter(centers, centers + g.integers(-1, 2, k.size))
+    assert_spans_exact(40, centers, halves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40),
+       pairs=st.lists(st.tuples(st.floats(-30, 70) | st.integers(-30, 70).map(lambda k: k + 0.5),
+                                st.floats(0, 30) | st.integers(0, 60).map(lambda k: k / 2)),
+                      min_size=1, max_size=50))
+def test_span_over_many_centers_is_the_exact_predicate(n, pairs):
+    # one call over many times: centers off the grid, on .5 and outside
+    # [0, n); spans that are empty, clipped or cover everything
+    centers, halves = map(np.array, zip(*pairs))
+    assert_spans_exact(n, centers, halves)
+
+
+def reflect_scalar(pos, lo, hi):
+    # the per-time formula, in Python floats
+    if hi <= lo:
+        return lo
+    span = hi - lo
+    z = (pos - lo) % (2.0 * span)
+    return lo + (z if z <= span else 2.0 * span - z)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.5, 17.25), (4.0, 4.0), (6.0, 3.5)])
+def test_reflect_matches_the_scalar_formula(lo, hi):
+    pos = np.random.default_rng(4).uniform(-300, 300, 500)
+    pos[:4] = [lo, hi, 2 * hi - lo, lo - (hi - lo)]
+    got = _reflect(pos, lo, hi)
+    want = [reflect_scalar(p, lo, hi) for p in pos.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
+    if hi <= lo:
+        assert (got == lo).all()
 
 
 def test_voxelize_accumulates_into_out():

@@ -80,6 +80,18 @@ class TestEventIO:
         with pytest.raises(ValueError, match="polarity"):
             make_stream(8, 8, [1], [1], [10], [0])
 
+    @pytest.mark.parametrize("ps, first", [([1, -1, 1, 0, 1, 2, -1], "event 3 has polarity 0"),
+                                           ([-1, 2, 1, 1, 0, 1, -1], "event 1 has polarity 2")])
+    def test_bad_polarity_names_the_first_index(self, ps, first):
+        n = len(ps)
+        with pytest.raises(ValueError, match=f"^{first}, expected -1 or \\+1$"):
+            make_stream(8, 8, [1] * n, [2] * n, list(range(n)), ps)
+
+    def test_unit_polarities_pass(self):
+        ps = [1, -1, -1, 1, 1]
+        stream = make_stream(8, 8, [1] * 5, [2] * 5, list(range(5)), ps)
+        assert stream.ps.tolist() == ps
+
     @pytest.mark.parametrize("record, field", [("70000,1,5,1", "x = 70000"),
                                                ("1,65536,5,1", "y = 65536"),
                                                ("-1,1,5,1", "x = -1"),

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every public top-level name is referenced somewhere besides its own
-definition, and every hess function the benchmark's tracer wraps exists."""
+every public top-level name and every public method or property of a
+public class is referenced somewhere besides its own definition, and every
+hess function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -14,6 +15,9 @@ SRC = ROOT / "src" / "hess"
 # specification and reference functions, kept for the tests that pin them
 REFERENCE_ONLY = {"spiking.lif_step", "spiking.constant_input_trajectory",
                   "energy.fit_energy_coefficients", "imgio.read_ppm"}
+# methods the tests call: the single-time renderer that the data-path tests
+# check against full-image masks, and the optimizer state a checkpoint holds
+REFERENCE_ONLY_MEMBERS = {"synthetic.Scene.render", "optim.AdamW.state"}
 
 
 def unused_imports(path):
@@ -123,3 +127,55 @@ def test_detects_an_unreferenced_name(tmp_path):
     (src / "b.py").write_text("from .a import used\nused()\n")
     (bench / "spans.py").write_text('SINGLE = ("a.traced",)\n')
     assert unreferenced_names(src, bench) == ["a.recursive", "a.Dead"]
+
+
+def unreferenced_members(src, others):
+    """Public methods and properties of the public top-level classes in
+    ``src`` that no code in ``src`` or ``others`` refers to outside their
+    own definition; dunder methods are protocol hooks and exempt.
+
+    A reference is any attribute access ``.name`` or a string constant
+    ``"name"`` (how perfbench/spans.py names the methods it wraps): the
+    receiver's type is unknown to ``ast``, so a name shared with a field of
+    another class counts as referenced."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in sorted(others.glob("*.py"))]
+    missing = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                own = {id(n) for n in ast.walk(fn)}
+                if not any(id(n) not in own
+                           and (isinstance(n, ast.Attribute) and n.attr == fn.name
+                                or isinstance(n, ast.Constant) and n.value == fn.name)
+                           for t in trees for n in ast.walk(t)):
+                    missing.append(f"{mod}.{cls.name}.{fn.name}")
+    return missing
+
+
+def test_every_public_member_is_referenced():
+    # the allowlist is exact: a listed member that gains a caller leaves it
+    assert sorted(unreferenced_members(SRC, ROOT / "perfbench")) == sorted(REFERENCE_ONLY_MEMBERS)
+
+
+def test_detects_an_unreferenced_member(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 1\n"
+        "    def __len__(self):\n        return 0\n"
+        "    @property\n    def area(self):\n        return self.size\n"
+        "    def grow(self):\n        return self.grow()\n"
+        "    def shrink(self):\n        pass\n"
+        "    def traced(self):\n        pass\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "class _Private:\n    def unused(self):\n        pass\n\n"
+        "def use(box):\n    return box.area\n")
+    (bench / "spans.py").write_text('METHODS = {"a.traced": ("a", "Box", "traced")}\n')
+    assert unreferenced_members(src, bench) == ["a.Box.grow", "a.Box.shrink"]

@@ -129,6 +129,73 @@ class TestSequence:
         assert x.grad.dtype == np.float32
 
 
+def where_step(v, lo, x, cfg):
+    """One membrane update with the reset select written as np.where: the
+    arithmetic _step_arrays must reproduce bit for bit."""
+    d = ((x - v) - lo) / cfg.tau
+    y = lo + d
+    h = v + y
+    ap = h - y
+    bp = h - ap
+    h_lo = (v - ap) + (y - bp)
+    spike = ((h - cfg.v_threshold) + h_lo) >= 0.0
+    return h, spike, np.where(spike, cfg.v_reset, h), np.where(spike, 0.0, h_lo)
+
+
+SELECT_CONFIGS = (CFG, LIFConfig(v_reset=-0.3), LIFConfig(tau=3.0, v_threshold=0.7, v_reset=0.2))
+SELECT_CASES = [(dtype, cfg) for dtype in (np.float32, np.float64) for cfg in SELECT_CONFIGS]
+
+
+@pytest.mark.parametrize("dtype, cfg", SELECT_CASES)
+class TestSelectMatchesWhere:
+    def currents(self, dtype):
+        xs = np.random.default_rng(11).normal(size=(3, 9, 4, 5)) * 1.5
+        xs[:, :, 0, :2] = [0.0, -0.0]
+        return xs.astype(dtype)
+
+    def test_lif_forward_seq(self, dtype, cfg, monkeypatch):
+        xs = self.currents(dtype)
+        with using_dtype(dtype):
+            spikes = lif_forward_seq(constant(xs), cfg).data
+            # with the smooth output's sigmoid replaced by the identity, the
+            # layer returns its membrane H
+            monkeypatch.setattr(spiking, "_sigmoid_of", lambda h, cfg: h.copy())
+            hs = lif_forward_seq(constant(xs), cfg, smooth=True).data
+        v, lo = np.full(xs[:, 0].shape, cfg.v_reset, dtype), np.zeros(xs[:, 0].shape, dtype)
+        for t in range(xs.shape[1]):
+            h, spike, v, lo = where_step(v, lo, xs[:, t], cfg)
+            assert hs[:, t].tobytes() == h.tobytes()
+            assert spikes[:, t].tobytes() == spike.astype(dtype).tobytes()
+
+    def test_lif_step(self, dtype, cfg):
+        xs = self.currents(dtype).astype(np.float64)
+        state = LIFState.zeros(xs[:, 0].shape, cfg, dtype=dtype)
+        v, lo = state.v, state.lo
+        for t in range(xs.shape[1]):
+            spikes, state = lif_step(state, xs[:, t], cfg)
+            _, spike, v, lo = where_step(v, lo, xs[:, t], cfg)
+            assert spikes.tobytes() == spike.astype(np.float64).tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert state.lo.tobytes() == lo.tobytes()
+
+
+
+@pytest.mark.parametrize("cfg", SELECT_CONFIGS)
+def test_constant_input_trajectory_matches_where(cfg):
+    for x_const in (-0.4, 0.5, 1.0, 1.3, 2.0, 3.7):
+        hs, spike_at = constant_input_trajectory(x_const, cfg, 200)
+        v, lo, want = np.full(1, cfg.v_reset), np.zeros(1), []
+        for i in range(200):
+            h, spike, v_next, lo_next = where_step(v, lo, np.full(1, x_const), cfg)
+            want.append(h[0])
+            fixed_point = i > 0 and (v_next[0], lo_next[0]) == (v[0], lo[0])
+            if spike[0] or fixed_point:
+                break
+            v, lo = v_next, lo_next
+        assert hs.tobytes() == np.array(want).tobytes()
+        assert spike_at == (i if spike[0] else None)
+
+
 class TestSurrogate:
     def test_peak_value_at_threshold(self):
         assert surrogate_grad(np.array([CFG.v_threshold]), CFG)[0] == 1.0
