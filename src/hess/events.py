@@ -62,15 +62,19 @@ class EventStream:
         ev = self.events
         if len(ev) == 0:
             return
-        bad = np.nonzero((ev["x"] >= self.width) | (ev["y"] >= self.height))[0]
+        bad = ((ev["x"] >= self.width) | (ev["y"] >= self.height)).nonzero()[0]
         if len(bad):
             raise ValueError(f"event {bad[0]} outside sensor geometry "
                              f"{self.width}x{self.height}")
         p = ev["p"]
-        bad = np.nonzero((p != 1) & (p != -1))[0]
+        bad = ((p != 1) & (p != -1)).nonzero()[0]
         if len(bad):
             raise ValueError(f"event {bad[0]} has polarity {p[bad[0]]}, expected -1 or +1")
-        dec = np.nonzero(np.diff(ev["t"].astype(np.int64)) < 0)[0]
+        t = ev["t"]
+        bad = (t > 2**63 - 1).nonzero()[0]
+        if len(bad):
+            raise ValueError(f"event {bad[0]} has t = {t[bad[0]]}, above 2**63 - 1")
+        dec = (t[1:] < t[:-1]).nonzero()[0]
         if len(dec):
             raise ValueError(f"event {dec[0] + 1} has decreasing timestamp")
 

@@ -24,7 +24,8 @@ CONTRAST_THRESHOLD = 0.15
 # away from the background so edges always clear the contrast threshold
 CLASS_LEVELS = (0.85, 0.10, 0.70, 0.25, 0.95)
 # (value, dtype) of the pixels no shape covers, per painted shape attribute
-_BACKGROUND = {"level": (BACKGROUND_LEVEL, np.float64), "class_id": (0, np.uint8)}
+_BACKGROUND = {"level": (BACKGROUND_LEVEL, np.float64), "class_id": (0, np.uint8),
+               "gray": (np.rint(BACKGROUND_LEVEL * 255), np.uint8)}
 
 
 @dataclass
@@ -46,6 +47,10 @@ class SynthConfig:
             raise ValueError("need at least background plus one shape class")
         if self.frame_count < 1 or self.micro_steps < 1:
             raise ValueError("frame_count and micro_steps must be >= 1")
+        if self.duration_us < 1:
+            raise ValueError(f"duration_us must be >= 1, got {self.duration_us}")
+        if self.num_shapes < 0:
+            raise ValueError(f"num_shapes must be >= 0, got {self.num_shapes}")
 
 
 @dataclass
@@ -59,6 +64,10 @@ class _Shape:
     vy: float      # px per microsecond
     vx: float
 
+    @property
+    def gray(self):     # the level as a uint8 frame pixel
+        return np.rint(self.level * 255)
+
 
 @dataclass
 class Scene:
@@ -67,11 +76,11 @@ class Scene:
 
     def render(self, t):
         """Normalized grayscale image at time t (float in [0, 1])."""
-        return self._paint(self._boxes([t])[0], "level")
+        return self._paint(self._boxes([t]), "level")[0]
 
     def labels(self, t):
         """Class-id map at time t (background is 0)."""
-        return self._paint(self._boxes([t])[0], "class_id")
+        return self._paint(self._boxes([t]), "class_id")[0]
 
     def _boxes(self, times):
         """Per time, per shape, the (row start, row stop, column start,
@@ -84,16 +93,18 @@ class Scene:
         y = _reflect(y0 + vy * t, half_h, (cfg.height - 1) - half_h)
         x = _reflect(x0 + vx * t, half_w, (cfg.width - 1) - half_w)
         bounds = (*_span(cfg.height, y, half_h), *_span(cfg.width, x, half_w))
-        return np.stack(bounds, axis=-1).transpose(1, 0, 2).tolist()
+        return np.stack(bounds, axis=-1).transpose(1, 0, 2)
 
     def _paint(self, boxes, attr):
-        """Each shape's ``attr`` on its box over the background's, later
-        shapes on top."""
+        """Per time of ``boxes``, each shape's ``attr`` on its box over the
+        background's, later shapes on top."""
         cfg = self.config
-        img = np.full((cfg.height, cfg.width), *_BACKGROUND[attr])
-        for (r0, r1, c0, c1), s in zip(boxes, self.shapes):
-            img[r0:r1, c0:c1] = getattr(s, attr)
-        return img
+        imgs = np.full((len(boxes), cfg.height, cfg.width), *_BACKGROUND[attr])
+        values = [getattr(s, attr) for s in self.shapes]
+        for img, row in zip(imgs, boxes.tolist()):
+            for (r0, r1, c0, c1), v in zip(row, values):
+                img[r0:r1, c0:c1] = v
+        return imgs
 
 
 def _span(n, center, half):
@@ -160,43 +171,55 @@ def render_sequence(scene: Scene, config: SynthConfig):
 
     Frames are uint8 renderings at uniform timestamps k/frame_count *
     duration (k = 1..frame_count); events come from micro-step
-    differencing between them.
+    differencing between them, of the pixels where a shape's box moved (no
+    other can change), in time, then row-major pixel order.
     """
     cfg = config
     total_steps = cfg.frame_count * cfg.micro_steps
     step_times = [int(round((m + 1) * cfg.duration_us / total_steps))
                   for m in range(total_steps)]
-    frame_times = [step_times[(k + 1) * cfg.micro_steps - 1]
-                   for k in range(cfg.frame_count)]
-
     boxes = scene._boxes([0, *step_times])
-    xs, ys, ts, ps = [], [], [], []
-    prev = scene._paint(boxes[0], "level")
-    frames, labels = [], []
-    for m, t in enumerate(step_times):
-        cur = scene._paint(boxes[m + 1], "level")
-        diff = (cur - prev).ravel()
-        # |diff| > threshold, without an image-sized abs temporary
-        fired = np.flatnonzero((diff > CONTRAST_THRESHOLD) | (diff < -CONTRAST_THRESHOLD))
-        if len(fired):
-            fy, fx = np.divmod(fired, cfg.width)
-            xs.append(fx)
-            ys.append(fy)
-            ts.append(np.full(len(fired), t, dtype=np.int64))
-            ps.append(np.sign(diff[fired]).astype(np.int64))
-        prev = cur
-        if (m + 1) % cfg.micro_steps == 0:
-            gray = cur * 255
-            frames.append(np.rint(gray, out=gray).astype(np.uint8))
-            labels.append(scene._paint(boxes[m + 1], "class_id"))
 
-    if xs:
-        stream = make_stream(cfg.width, cfg.height,
-                             np.concatenate(xs), np.concatenate(ys),
-                             np.concatenate(ts), np.concatenate(ps))
-    else:
-        stream = EventStream(cfg.width, cfg.height)
-    return stream, frames, labels, frame_times
+    key = np.sort(_moved_pixels(boxes, cfg))
+    step, pix = np.divmod(key[np.diff(key, prepend=-1) != 0], cfg.height * cfg.width)
+    ys, xs = np.divmod(pix, cfg.width)
+    diff = _levels(scene, boxes, step + 1, ys, xs) - _levels(scene, boxes, step, ys, xs)
+    fired = (diff > CONTRAST_THRESHOLD) | (diff < -CONTRAST_THRESHOLD)
+    stream = make_stream(cfg.width, cfg.height, xs[fired], ys[fired],
+                         np.array(step_times, np.int64)[step[fired]],
+                         np.sign(diff[fired]).astype(np.int64))
+
+    frames, labels = (list(scene._paint(boxes[cfg.micro_steps::cfg.micro_steps], attr))
+                      for attr in ("gray", "class_id"))
+    return stream, frames, labels, step_times[cfg.micro_steps - 1::cfg.micro_steps]
+
+
+def _moved_pixels(boxes, cfg):
+    """Keys (m * height + row) * width + col, repeats included, of pixels
+    covering every one that enters or leaves a shape's box between
+    boxes[m] and boxes[m + 1]: per shape, the row bands swept by its top
+    and bottom edges across its column hull and the column bands swept by
+    its left and right edges down its row hull."""
+    lo, hi = np.minimum(boxes[:-1], boxes[1:]), np.maximum(boxes[:-1], boxes[1:])
+    rows, cols = (lo[..., 0], hi[..., 1]), (lo[..., 2], hi[..., 3])
+    # (row start, row stop, col start, col stop), each (4 bands, steps, shapes)
+    r0, r1, c0, c1 = np.stack([[lo[..., 0], hi[..., 0], *cols], [lo[..., 1], hi[..., 1], *cols],
+                               [*rows, lo[..., 2], hi[..., 2]], [*rows, lo[..., 3], hi[..., 3]]],
+                              axis=1)
+    width = np.maximum(c1 - c0, 0)
+    n = (np.maximum(r1 - r0, 0) * width).ravel()
+    at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    width = np.repeat(width.ravel(), n)
+    first = (np.arange(len(lo))[:, None] * cfg.height + r0) * cfg.width + c0
+    return np.repeat(first.ravel(), n) + at // width * cfg.width + at % width
+
+
+def _levels(scene, boxes, at, ys, xs):
+    """The level _paint gives pixel (ys[k], xs[k]) under boxes[at[k]]."""
+    out = np.full(len(ys), BACKGROUND_LEVEL)
+    for (r0, r1, c0, c1), s in zip(boxes.transpose(1, 2, 0), scene.shapes):
+        out[(r0[at] <= ys) & (ys < r1[at]) & (c0[at] <= xs) & (xs < c1[at])] = s.level
+    return out
 
 
 # -- dataset assembly --------------------------------------------------------
@@ -220,6 +243,8 @@ def make_samples(seed, config: SynthConfig, max_events=6400):
     Each sample's window is the inter-frame interval, capped at the most
     recent max_events events.
     """
+    if max_events < 1:
+        raise ValueError(f"max_events must be >= 1, got {max_events}")
     stream, frames, labels, frame_times = gen_synthetic(seed, config)
     edges = [0, *frame_times]
     ts = stream.events["t"]

@@ -40,6 +40,18 @@ class TestCLI:
                      "--width", "16", "--height", "16", "--samples", "2"]) == 0
         assert (workspace / "train" / "events_0000.evt1").read_bytes() == before
 
+    @pytest.mark.parametrize("flag, value, field", [("--duration-us", "0", "duration_us"),
+                                                    ("--shapes", "-1", "num_shapes"),
+                                                    ("--max-events", "0", "max_events"),
+                                                    ("--max-events", "-5", "max_events")])
+    def test_gen_rejects_out_of_range_input(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out-dir", str(out), "--samples", "2",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_voxelize(self, workspace, tmp_path):
         src = workspace / "train" / "events_0001.evt1"
         out = tmp_path / "grid.npy"

@@ -12,16 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hess.events import EventStream, make_stream
 from hess.optim import prepare_batches
-from hess.synthetic import (BACKGROUND_LEVEL, SynthConfig, _reflect, _span,
-                            build_scene, make_samples)
+from hess.synthetic import (BACKGROUND_LEVEL, CLASS_LEVELS, CONTRAST_THRESHOLD,
+                            Scene, SynthConfig, _reflect, _Shape, _span,
+                            build_scene, make_samples, render_sequence)
 from hess.voxel import voxelize
 
 # (seed, SynthConfig fields, max_events, bins) -> sha256 of the bytes, dtype
 # and shape of every frame, label map and event record of make_samples, and
 # of the three prepare_batches arrays. 16x16 caps windows at 40 events and,
 # with one micro-step per frame, gives single-instant windows; the
-# shapeless scene gives all-empty windows.
+# shapeless scene gives all-empty windows. 256x256x100 is the ingest
+# geometry: 400 micro-steps in which three shapes bounce off a border.
 DIGEST_CASES = {
     "16x16": (5, dict(width=16, height=16, num_shapes=2, frame_count=12,
                       micro_steps=1), 40, 3,
@@ -31,6 +34,9 @@ DIGEST_CASES = {
     "256x256": (23, dict(width=256, height=256, num_shapes=6, frame_count=3),
                 6400, 5,
                 "4786c04cf7b9a2a5bb5e68b1d09ef89c5aa35a4e5b6e1470af292e1e804ff80c"),
+    "256x256x100": (29, dict(width=256, height=256, num_shapes=6, frame_count=100),
+                    6400, 1,
+                    "cfe43364efb3523a2d76e13d9c77e83c4164359f7ece4fde2f8437d8bbb6f3c9"),
     "empty": (2, dict(num_shapes=0, frame_count=3), 6400, 1,
               "52a183d19345be0bd4e6560aebe5311650eed88ef12aac993155bbc3b3d6c21a"),
 }
@@ -85,7 +91,9 @@ def test_scene_boxes_match_full_image_masks():
     yy = np.arange(cfg.height)[:, None]
     xx = np.arange(cfg.width)[None, :]
     times = list(range(0, cfg.duration_us, 4321))
-    for t, boxes in zip(times, scene._boxes(times)):
+    boxes = scene._boxes(times)
+    for t, img_at, lab_at in zip(times, scene._paint(boxes, "level"),
+                                 scene._paint(boxes, "class_id"), strict=True):
         img = np.full((cfg.height, cfg.width), BACKGROUND_LEVEL)
         lab = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
         for s in scene.shapes:
@@ -94,10 +102,92 @@ def test_scene_boxes_match_full_image_masks():
             inside = (np.abs(yy - y) <= s.half_h) & (np.abs(xx - x) <= s.half_w)
             img[inside] = s.level
             lab[inside] = s.class_id
-        assert scene._paint(boxes, "level").tobytes() == img.tobytes()
-        assert scene._paint(boxes, "class_id").tobytes() == lab.tobytes()
+        assert img_at.tobytes() == img.tobytes()
+        assert lab_at.tobytes() == lab.tobytes()
         assert scene.render(t).tobytes() == img.tobytes()
         assert scene.labels(t).tobytes() == lab.tobytes()
+
+
+def render_sequence_full_image(scene, cfg):
+    # the former render_sequence, frozen but for painting through
+    # Scene.render / Scene.labels: paint the whole image at every
+    # micro-step and difference all of its pixels
+    total_steps = cfg.frame_count * cfg.micro_steps
+    step_times = [int(round((m + 1) * cfg.duration_us / total_steps))
+                  for m in range(total_steps)]
+    frame_times = [step_times[(k + 1) * cfg.micro_steps - 1]
+                   for k in range(cfg.frame_count)]
+
+    xs, ys, ts, ps = [], [], [], []
+    prev = scene.render(0)
+    frames, labels = [], []
+    for m, t in enumerate(step_times):
+        cur = scene.render(t)
+        diff = (cur - prev).ravel()
+        fired = np.flatnonzero((diff > CONTRAST_THRESHOLD) | (diff < -CONTRAST_THRESHOLD))
+        if len(fired):
+            fy, fx = np.divmod(fired, cfg.width)
+            xs.append(fx)
+            ys.append(fy)
+            ts.append(np.full(len(fired), t, dtype=np.int64))
+            ps.append(np.sign(diff[fired]).astype(np.int64))
+        prev = cur
+        if (m + 1) % cfg.micro_steps == 0:
+            gray = cur * 255
+            frames.append(np.rint(gray, out=gray).astype(np.uint8))
+            labels.append(scene.labels(t))
+
+    if xs:
+        stream = make_stream(cfg.width, cfg.height,
+                             np.concatenate(xs), np.concatenate(ys),
+                             np.concatenate(ts), np.concatenate(ps))
+    else:
+        stream = EventStream(cfg.width, cfg.height)
+    return stream, frames, labels, frame_times
+
+
+# levels on both sides of the contrast threshold around the background,
+# equal to it, and exactly BACKGROUND_LEVEL +- CONTRAST_THRESHOLD
+LEVELS = st.sampled_from(CLASS_LEVELS + (BACKGROUND_LEVEL, BACKGROUND_LEVEL + CONTRAST_THRESHOLD,
+                                         BACKGROUND_LEVEL - CONTRAST_THRESHOLD)) | st.floats(0, 1)
+# half sizes on and off the .5 grid; the last range holds sizes larger
+# than the scene and negative ones (an empty box, as SynthConfig(min_size
+# < 0) can draw)
+HALVES = st.floats(0, 10) | st.integers(0, 20).map(lambda k: k / 2) | st.floats(-6, 40)
+
+
+@st.composite
+def scenes(draw):
+    cfg = SynthConfig(width=draw(st.integers(16, 40)), height=draw(st.integers(16, 40)),
+                      duration_us=draw(st.sampled_from([1, 2, 7, 100, 100_000])),
+                      frame_count=draw(st.integers(1, 8)), micro_steps=draw(st.integers(1, 5)))
+    shapes = []
+    for cls in range(1, draw(st.integers(0, 9)) + 1):
+        # up to 4 px per frame along each axis
+        vy, vx = (draw(st.floats(-4, 4)) * cfg.frame_count / cfg.duration_us for _ in range(2))
+        shapes.append(_Shape(class_id=cls, level=draw(LEVELS),
+                             half_h=draw(HALVES), half_w=draw(HALVES),
+                             y0=draw(st.floats(-10, cfg.height + 10)),
+                             x0=draw(st.floats(-10, cfg.width + 10)), vy=vy, vx=vx))
+    return Scene(cfg, shapes)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scene=scenes())
+def test_render_sequence_matches_full_image_differencing(scene):
+    # shapes drifting, bouncing, overlapping, empty, or larger than the
+    # scene and so pinned; repeated micro-step times when duration_us is
+    # below the step count
+    stream, frames, labels, times = render_sequence(scene, scene.config)
+    want_stream, want_frames, want_labels, want_times = render_sequence_full_image(
+        scene, scene.config)
+    assert (stream.width, stream.height) == (want_stream.width, want_stream.height)
+    assert stream.events.dtype == want_stream.events.dtype
+    assert stream.events.tobytes() == want_stream.events.tobytes()
+    assert times == want_times
+    for got, want in zip(frames + labels, want_frames + want_labels, strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def within(n, center, half):

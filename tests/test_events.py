@@ -1,8 +1,10 @@
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from hess.events import _EVENT_DTYPE as EVENT_DTYPE
 from hess.events import EventStream, make_stream, read_events, write_events
 from hess.imgio import colorize_labels, read_pgm, read_ppm, write_pgm, write_ppm
 from hess.synthetic import (CONTRAST_THRESHOLD, SynthConfig, build_scene,
@@ -71,6 +73,29 @@ class TestEventIO:
             f.write(ev.tobytes())
         with pytest.raises(ValueError, match="7"):
             read_events(p)
+
+    def test_timestamp_above_int64_rejected(self, tmp_path):
+        # .ts would read 2**63 as -2**63, and voxelize would drop the event
+        ev = np.zeros(3, EVENT_DTYPE)
+        ev["p"] = 1
+        ev["t"] = [5, 2**63 - 1, 2**63]
+        with pytest.raises(ValueError, match=r"^event 2 has t = 9223372036854775808, above"):
+            EventStream(4, 4, ev)
+        p = tmp_path / "wide.evt1"
+        p.write_bytes(struct.pack("<4sIIQ", b"EVT1", 4, 4, 3) + ev.tobytes())
+        with pytest.raises(ValueError, match="event 2 has t ="):
+            read_events(p)
+
+    def test_timestamps_ordered_up_to_int64_max(self):
+        # the order check compares the u64 field itself, so the largest
+        # timestamps pass and a drop from them is still named
+        ev = np.zeros(4, EVENT_DTYPE)
+        ev["p"] = 1
+        ev["t"] = [0, 2**62, 2**63 - 1, 2**63 - 1]
+        assert EventStream(4, 4, ev).ts.tolist() == [0, 2**62, 2**63 - 1, 2**63 - 1]
+        ev["t"][3] = 2**62
+        with pytest.raises(ValueError, match="^event 3 has decreasing timestamp$"):
+            EventStream(4, 4, ev)
 
     def test_out_of_geometry_rejected(self):
         with pytest.raises(ValueError, match="geometry"):
