@@ -70,8 +70,9 @@ class LayerCost:
             raise ValueError("spike rate must lie in [0, 1]")
 
     def ops(self):
+        """MACs, or spike-gated accumulates MACs * input rate * timesteps."""
         if self.kind == "snn":
-            return count_snn_synops(self.macs, self.spike_rate, self.timesteps)
+            return self.macs * self.spike_rate * self.timesteps
         return self.macs
 
 
@@ -93,13 +94,6 @@ class EnergyReport:
             with open(path, "w") as f:
                 f.write(text)
         return text
-
-
-def count_snn_synops(macs, spike_rate, timesteps):
-    """Spike-gated accumulates: MACs * input rate * timesteps."""
-    if not 0.0 <= spike_rate <= 1.0:
-        raise ValueError("spike rate must lie in [0, 1]")
-    return macs * spike_rate * timesteps
 
 
 def energy_total(gflops_ann, gflops_snn):

@@ -88,7 +88,10 @@ def make_stream(width, height, xs, ys, ts, ps):
     could wrap it."""
     ev = np.zeros(len(xs), dtype=_EVENT_DTYPE)
     for name, values in (("x", xs), ("y", ys), ("t", ts), ("p", ps)):
-        values = np.asarray(values)
+        arr = np.asarray(values)
+        # a list with an int beyond int64 comes back float or object: compare
+        # its exact Python numbers instead
+        values = arr if arr.dtype.kind in "biu" else np.array(values, dtype=object)
         lim = np.iinfo(_EVENT_DTYPE[name])
         bad = np.nonzero((values < lim.min) | (values > lim.max))[0]
         if len(bad):

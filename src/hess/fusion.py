@@ -108,7 +108,7 @@ def atw_temporal_weights(f_snn, params: ATWParams):
     n, t, c, h, w = f_snn.shape
     if t == 0:
         raise ValueError("temporal weighting needs at least one timestep")
-    pool = ops.global_avg_pool(f_snn.reshape((n * t, c, h, w))).reshape((n, t, c))
+    pool = f_snn.reshape((n * t, c, h, w)).mean(axis=(2, 3)).reshape((n, t, c))
     hidden = ops.linear(pool, params.w_down).relu()
     scores = ops.linear(hidden, params.w_up)
     return ops.softmax_axis(scores, axis=1)
@@ -239,7 +239,7 @@ def csf_select(x, params: CSFParams):
     s = x * AvgPool(Conv(Sigmoid(x))), broadcast per channel."""
     x = constant(x)
     n, c = x.shape[:2]
-    gate = ops.global_avg_pool(ops.conv2d(x.sigmoid(), params.w, params.b))
+    gate = ops.conv2d(x.sigmoid(), params.w, params.b).mean(axis=(2, 3))
     s = x * gate.reshape((n, c, 1, 1))
     # + 0.0 canonicalizes -0.0 so a silent branch stays bit-exact under
     # the later fusion add

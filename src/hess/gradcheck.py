@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fusion
-from .network import NetworkConfig, build, forward, loss
+from .network import NetworkConfig, build, forward
+from .ops import cross_entropy
 from .spiking import LIFConfig, lif_forward_seq
 from .tensor import constant, grad_check, parameter
 from .voxel import ReferencePointSet
@@ -83,7 +84,7 @@ def check_network(h=16, w=16):
     labels = g.integers(0, 3, size=(1, h, w))
 
     def fn():
-        return loss(forward(net, frames, voxel, smooth=True), labels)
+        return cross_entropy(forward(net, frames, voxel, smooth=True), labels)
 
     return grad_check(fn, list(net.params.values()), eps=1e-4)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .energy import profile
 from .imgio import colorize_labels, write_pgm, write_ppm
-from .metrics import ConfusionMatrix, confusion, metrics
+from .metrics import confusion, metrics
 from .network import NetworkConfig, build, predict
 from .optim import TrainConfig, prepare_batches, train
 
@@ -39,13 +39,13 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
         raise ValueError("empty evaluation dataset")
     num_classes = net.config.num_classes
     frames, voxels, labels = prepare_batches(samples, net.config.bins)
-    cm = ConfusionMatrix(num_classes)
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     preds = []
     for lo in range(0, len(samples), batch_size):
         hi = min(lo + batch_size, len(samples))
         p = predict(net, frames[lo:hi], voxels[lo:hi])
         preds.append(p)
-        cm.add(confusion(p, labels[lo:hi], num_classes, ignore_index))
+        cm += confusion(p, labels[lo:hi], num_classes, ignore_index)
     preds = np.concatenate(preds)
 
     accuracy, iou, miou = metrics(cm)

@@ -1,38 +1,14 @@
-"""Segmentation metrics: confusion matrix, pixel accuracy, per-class IoU
-and mIoU (classes with zero union are excluded from the mean)."""
+"""Segmentation metrics: the confusion counts, pixel accuracy, per-class
+IoU and mIoU (classes with zero union are excluded from the mean)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass
-class ConfusionMatrix:
-    num_classes: int
-    counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros((self.num_classes, self.num_classes),
-                                   dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.num_classes, self.num_classes):
-            raise ValueError("counts must be num_classes x num_classes")
-
-    def total(self):
-        return int(self.counts.sum())
-
-    def add(self, other: "ConfusionMatrix"):
-        if other.num_classes != self.num_classes:
-            raise ValueError("class counts differ")
-        self.counts += other.counts
-        return self
-
-
-def confusion(pred, gt, num_classes, ignore_index=255) -> ConfusionMatrix:
-    """Count (ground truth, prediction) pairs, skipping ignored pixels."""
+def confusion(pred, gt, num_classes, ignore_index=255):
+    """(K, K) int64 counts of (ground truth, prediction) pairs, skipping
+    ignored pixels; counts over several batches add elementwise."""
     pred = np.asarray(pred).reshape(-1)
     gt = np.asarray(gt).reshape(-1)
     if pred.shape != gt.shape:
@@ -46,17 +22,18 @@ def confusion(pred, gt, num_classes, ignore_index=255) -> ConfusionMatrix:
                              f"[0, {num_classes})")
     idx = gt * num_classes + pred
     counts = np.bincount(idx, minlength=num_classes ** 2)
-    return ConfusionMatrix(num_classes, counts.reshape(num_classes, num_classes))
+    return counts.reshape(num_classes, num_classes)
 
 
-def metrics(cm: ConfusionMatrix):
-    """(pixel accuracy, per-class IoU array with NaN where undefined, mIoU)."""
-    total = cm.total()
+def metrics(cm):
+    """(pixel accuracy, per-class IoU array with NaN where undefined, mIoU)
+    of a (K, K) confusion counts array."""
+    total = int(cm.sum())
     if total == 0:
         raise ValueError("no scored pixels")
-    tp = np.diag(cm.counts).astype(np.float64)
-    union = cm.counts.sum(axis=0) + cm.counts.sum(axis=1) - tp
-    iou = np.full(cm.num_classes, np.nan)
+    tp = np.diag(cm).astype(np.float64)
+    union = cm.sum(axis=0) + cm.sum(axis=1) - tp
+    iou = np.full(len(cm), np.nan)
     present = union > 0
     iou[present] = tp[present] / union[present]
     accuracy = float(tp.sum() / total)

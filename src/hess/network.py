@@ -286,11 +286,6 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
     return ops.interp_resize(logits, h, w)
 
 
-def loss(logits, labels, ignore_index=255):
-    """Mean softmax cross-entropy over non-ignored pixels."""
-    return ops.cross_entropy(logits, labels, ignore_index=ignore_index)
-
-
 def predict(net, frames, voxel=None):
     """Hard label map N*H*W (argmax; ties go to the lower class id)."""
     with no_grad():

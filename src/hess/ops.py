@@ -1,5 +1,5 @@
-"""Structured differentiable operations: convolution, pooling, sampling,
-resizing, normalization and the segmentation loss. conv2d, linear and
+"""Structured differentiable operations: convolution, sampling, resizing,
+normalization and the segmentation loss. conv2d, linear and
 bilinear_sample_many charge their MACs to the active tensor.cost_scope."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, charge, constant, record_op, _single, tmean
+from .tensor import Tensor, charge, constant, record_op, _single
 
 
 def _scatter_add_rows(target, rows, vals):
@@ -160,14 +160,6 @@ def softmax_axis(x, axis):
         return ((g - dot) * y,)
 
     return _single(y, [x], backward)
-
-
-def global_avg_pool(x):
-    """Spatial mean of an N*C*H*W map, giving N*C."""
-    x = constant(x)
-    if x.ndim != 4:
-        raise ValueError("global_avg_pool expects N*C*H*W")
-    return tmean(x, axis=(2, 3))
 
 
 def _map_index(m, index, shape):

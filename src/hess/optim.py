@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import HybridNetwork, forward, loss
+from .network import HybridNetwork, forward
+# train calls the loss through this module global, so a caller can wrap it
+from .ops import cross_entropy as loss
 from .voxel import voxelize
 
 

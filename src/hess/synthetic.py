@@ -51,6 +51,8 @@ class SynthConfig:
             raise ValueError(f"duration_us must be >= 1, got {self.duration_us}")
         if self.num_shapes < 0:
             raise ValueError(f"num_shapes must be >= 0, got {self.num_shapes}")
+        if not 1 <= self.min_size <= self.max_size:
+            raise ValueError(f"min_size {self.min_size} must lie in 1..max_size ({self.max_size})")
 
 
 @dataclass

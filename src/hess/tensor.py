@@ -1,5 +1,5 @@
-"""Dense tensors of the default dtype (float64, or float32 for training)
-with tape-based reverse-mode differentiation.
+"""Dense tensors of the default dtype (float64, or float32 for training
+inside using_dtype) with tape-based reverse-mode differentiation.
 
 The operator set is intentionally small: exactly what the two-branch
 segmentation network needs (elementwise arithmetic, reductions,
@@ -15,27 +15,21 @@ import contextlib
 import numpy as np
 
 # Default element type. Everything runs in float64 (gradient checks need
-# the headroom); training may switch to float32 for speed via
-# set_default_dtype / using_dtype.
+# the headroom); training may switch to float32 for speed via using_dtype.
 DTYPE = np.float64
-
-
-def set_default_dtype(dtype):
-    global DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("supported dtypes: float32, float64")
-    DTYPE = dtype
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the element type for newly created tensors."""
-    prev = DTYPE
-    set_default_dtype(dtype)
+    global DTYPE
+    if dtype not in (np.float32, np.float64):
+        raise ValueError("supported dtypes: float32, float64")
+    prev, DTYPE = DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        DTYPE = prev
 
 
 class _OpRecord:
@@ -229,22 +223,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __pow__(self, p):
         return power(self, p)
@@ -266,9 +248,6 @@ class Tensor:
 
     def sigmoid(self):
         return sigmoid(self)
-
-    def exp(self):
-        return texp(self)
 
 
 def constant(data):
@@ -342,25 +321,11 @@ def mul(a, b):
                               _unbroadcast(g * a.data, b.data.shape)))
 
 
-def div(a, b):
-    a, b = constant(a), constant(b)
-    out_data = a.data / b.data
-    return _single(out_data, [a, b],
-                   lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
 def power(a, p):
     a = constant(a)
     p = float(p)
     out_data = a.data ** p
     return _single(out_data, [a], lambda g: (g * p * a.data ** (p - 1.0),))
-
-
-def texp(a):
-    a = constant(a)
-    out_data = np.exp(a.data)
-    return _single(out_data, [a], lambda g: (g * out_data,))
 
 
 def relu(a):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from hess import fusion, ops, tensor
-from hess.energy import (BASELINE_ROWS, EnergyReport, LayerCost,
-                         count_snn_synops, energy_total,
+from hess.energy import (BASELINE_ROWS, EnergyReport, LayerCost, energy_total,
                          fit_energy_coefficients, profile)
 from hess.network import NetworkConfig, build, forward
 from hess.optim import prepare_batches
@@ -32,6 +31,11 @@ TABLE_POINTS = [
     (3.84, 0.267, 17.89),
     (1.95, 0.110, 9.08),
 ]
+
+
+def synops(macs, spike_rate, timesteps):
+    """A spiking layer's spike-gated accumulates, as LayerCost reports them."""
+    return LayerCost("s", "snn", macs, spike_rate=spike_rate, timesteps=timesteps).ops()
 
 
 class TestEnergyTotal:
@@ -104,22 +108,22 @@ class TestCounts:
         assert counts["eds"]["calls"] == 6
 
     def test_synops_zero_rate(self):
-        assert count_snn_synops(55_296, 0.0, 5) == 0
+        assert synops(55_296, 0.0, 5) == 0
 
     def test_synops_dense_limit(self):
-        assert count_snn_synops(55_296, 1.0, 1) == 55_296
+        assert synops(55_296, 1.0, 1) == 55_296
 
     def test_synops_formula(self):
-        assert count_snn_synops(55_296, 0.1, 5) == pytest.approx(27_648)
+        assert synops(55_296, 0.1, 5) == pytest.approx(27_648)
 
     def test_synops_monotone_in_rate_linear_in_t(self):
-        base = count_snn_synops(1000, 0.2, 3)
-        assert count_snn_synops(1000, 0.4, 3) > base
-        assert count_snn_synops(1000, 0.2, 6) == 2 * base
+        base = synops(1000, 0.2, 3)
+        assert synops(1000, 0.4, 3) > base
+        assert synops(1000, 0.2, 6) == 2 * base
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            count_snn_synops(100, 1.5, 5)
+        with pytest.raises(ValueError, match="spike rate"):
+            synops(100, 1.5, 5)
 
 
 def small_setup():

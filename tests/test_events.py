@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ class TestEventIO:
         with pytest.raises(ValueError, match="event 2 has t = -1"):
             make_stream(4, 4, [0, 1, 2], [0, 0, 0], [0, 3, -1], [1, 1, 1])
 
+    def test_make_stream_names_the_exact_value_beyond_int64(self):
+        # as a float64 array this list would report event 0 with 2**63 - 1
+        # rounded up to 2**63
+        with pytest.raises(ValueError, match="event 1 has t = 9223372036854775808, "):
+            make_stream(4, 4, [0, 0], [0, 0], [2**63 - 1, 2**63], [1, 1])
+
+    def test_make_stream_rejects_u64_max_without_a_cast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="event 1 has t = 18446744073709551615, "):
+                make_stream(4, 4, [0, 0], [0, 0], [5, 2**64 - 1], [1, 1])
+
     def test_last_window(self):
         # a sample keeps the most recent max_events events of its window
         cfg = SynthConfig(width=16, height=16, frame_count=3, num_shapes=1,
@@ -198,6 +211,15 @@ class TestImgIO:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("sizes", [(-30, 22), (0, 22), (30, 10)])
+    def test_size_bounds_rejected(self, sizes):
+        with pytest.raises(ValueError, match="min_size"):
+            SynthConfig(min_size=sizes[0], max_size=sizes[1])
+
+    def test_size_bounds_accepted(self):
+        for lo, hi in ((1, 50), (2, 19), (7, 7)):
+            assert SynthConfig(min_size=lo, max_size=hi).min_size == lo
+
     def test_zero_shapes(self):
         cfg = SynthConfig(num_shapes=0, frame_count=5)
         stream, frames, labels, _ = gen_synthetic(0, cfg)

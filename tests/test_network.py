@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hess.network import (HybridNetwork, NetworkConfig, build, config_from_dict, forward,
-                          load_checkpoint, loss, predict, save_checkpoint)
+                          load_checkpoint, predict, save_checkpoint)
+from hess.ops import cross_entropy
 from hess.optim import AdamW, TrainConfig, lr_at, train
 from hess.synthetic import SynthConfig, make_samples
 from hess.tensor import constant, grad_check, no_grad, using_dtype
@@ -173,13 +174,13 @@ class TestLossPredict:
     def test_uniform_logits_log_k(self):
         logits = constant(np.zeros((1, 4, 3, 3)))
         labels = np.zeros((1, 3, 3), dtype=np.int64)
-        assert abs(loss(logits, labels).item() - np.log(4.0)) <= 1e-12
+        assert abs(cross_entropy(logits, labels).item() - np.log(4.0)) <= 1e-12
 
     def test_confident_correct_near_zero(self):
         labels = np.random.default_rng(6).integers(0, 3, size=(1, 4, 4))
         logits = np.full((1, 3, 4, 4), -50.0)
         np.put_along_axis(logits, labels[:, None], 50.0, axis=1)
-        assert loss(constant(logits), labels).item() <= 1e-12
+        assert cross_entropy(constant(logits), labels).item() <= 1e-12
 
     def test_predict_matches_argmax_with_low_index_ties(self):
         logits = np.zeros((1, 3, 1, 2))
@@ -394,7 +395,7 @@ class TestWholeNetworkGradient:
         labels = g.integers(0, 2, size=(1, 8, 8))
 
         def fn():
-            return loss(forward(net, frames, voxel, smooth=True), labels)
+            return cross_entropy(forward(net, frames, voxel, smooth=True), labels)
 
         checked = [net.params[k] for k in
                    ("stage0.snn.w", "stage1.ann.w", "atw0.out.w", "atw1.off.w",

