@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .network import HybridNetwork, forward
-from .optim import prepare_batches
+from .optim import check_shapes, prepare_batches
 from .tensor import count_macs, no_grad
 
 ANN_PJ_PER_MAC = 4.6
@@ -120,18 +120,20 @@ def profile(net: HybridNetwork, samples, use_events=True) -> EnergyReport:
     """Run the dataset through the network and reduce the MACs its ops
     charge to per-layer costs.
 
-    MAC counts and spike rates are averaged over samples; parameters are
-    untouched. A spiking layer runs one charged op per timestep, so its
-    MACs are reported per timestep. With use_events=False the frame
-    branch runs alone and the spiking column is zero.
+    Each sample is prepared and run on its own. MAC counts and spike rates
+    are averaged over samples; parameters are untouched. A spiking layer
+    runs one charged op per timestep, so its MACs are reported per
+    timestep. With use_events=False the frame branch runs alone and the
+    spiking column is zero.
     """
     if not samples:
         raise ValueError("profiling needs at least one sample")
-    frames, voxels, _ = prepare_batches(samples, net.config.bins)
+    check_shapes(samples)
     runs = []
-    for i in range(len(samples)):
+    for s in samples:
+        frames, voxels, _ = prepare_batches([s], net.config.bins)
         with no_grad(), count_macs() as counts:
-            forward(net, frames[i:i + 1], voxels[i:i + 1] if use_events else None)
+            forward(net, frames, voxels if use_events else None)
         runs.append(counts)
 
     def mean(values):

@@ -79,19 +79,33 @@ class EventStream:
             raise ValueError(f"event {dec[0] + 1} has decreasing timestamp")
 
     def slice(self, start, stop):
-        return EventStream(self.width, self.height, self.events[start:stop].copy())
+        """Events start..stop-1 as a read-only view. A window of a valid
+        stream is valid, so it is neither validated again nor copied."""
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"slice {start}..{stop} outside the stream's "
+                             f"0..{len(self)}")
+        window = object.__new__(EventStream)
+        window.width, window.height = self.width, self.height
+        window.events = self.events[start:stop]
+        window.events.flags.writeable = False
+        return window
 
 
 def make_stream(width, height, xs, ys, ts, ps):
-    """Assemble a stream from parallel coordinate arrays. A value that does
-    not fit its EVT1 field is rejected, naming the event, before the cast
-    could wrap it."""
+    """Assemble a stream from parallel coordinate arrays. A value that is
+    not a whole number, or does not fit its EVT1 field, is rejected, naming
+    the event, before the cast could truncate or wrap it."""
     ev = np.zeros(len(xs), dtype=_EVENT_DTYPE)
     for name, values in (("x", xs), ("y", ys), ("t", ts), ("p", ps)):
         arr = np.asarray(values)
-        # a list with an int beyond int64 comes back float or object: compare
-        # its exact Python numbers instead
+        # floats, and a list with an int beyond int64 (which comes back float
+        # or object): check its exact Python numbers instead
         values = arr if arr.dtype.kind in "biu" else np.array(values, dtype=object)
+        if values.dtype == object:
+            bad = next((i for i, v in enumerate(values) if not _whole(v)), None)
+            if bad is not None:
+                raise ValueError(f"event {bad} has {name} = {values[bad]}, "
+                                 "not a whole number")
         lim = np.iinfo(_EVENT_DTYPE[name])
         bad = np.nonzero((values < lim.min) | (values > lim.max))[0]
         if len(bad):
@@ -99,6 +113,13 @@ def make_stream(width, height, xs, ys, ts, ps):
                              f"outside the EVT1 field range {lim.min}..{lim.max}")
         ev[name] = values
     return EventStream(width, height, ev)
+
+
+def _whole(v):
+    try:
+        return v == int(v)
+    except (OverflowError, ValueError):   # inf, nan
+        return False
 
 
 def write_events(stream: EventStream, path):

@@ -12,7 +12,7 @@ from .energy import profile
 from .imgio import colorize_labels, write_pgm, write_ppm
 from .metrics import confusion, metrics
 from .network import NetworkConfig, build, predict
-from .optim import TrainConfig, prepare_batches, train
+from .optim import TrainConfig, check_shapes, prepare_batches, train
 
 # the 8 module-toggle rows of the ablation grid: frame+event baseline,
 # each injector/fusion block alone, the pairs, then everything on
@@ -30,7 +30,8 @@ ABLATION_ROWS = (
 
 def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
              ignore_index=255):
-    """Aggregate one confusion matrix over the dataset.
+    """Aggregate one confusion matrix over the dataset; each batch_size
+    slice is prepared, predicted, scored and written before the next.
 
     Optionally writes predicted label maps (PGM), palette renderings
     (PPM) and the JSON report. Returns the report dict.
@@ -38,15 +39,18 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
     if not samples:
         raise ValueError("empty evaluation dataset")
     num_classes = net.config.num_classes
-    frames, voxels, labels = prepare_batches(samples, net.config.bins)
+    check_shapes(samples)
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    preds = []
     for lo in range(0, len(samples), batch_size):
-        hi = min(lo + batch_size, len(samples))
-        p = predict(net, frames[lo:hi], voxels[lo:hi])
-        preds.append(p)
-        cm += confusion(p, labels[lo:hi], num_classes, ignore_index)
-    preds = np.concatenate(preds)
+        frames, voxels, labels = prepare_batches(samples[lo:lo + batch_size],
+                                                 net.config.bins)
+        preds = predict(net, frames, voxels)
+        cm += confusion(preds, labels, num_classes, ignore_index)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            for i, p in enumerate(preds, lo):
+                write_pgm(p.astype(np.uint8), os.path.join(out_dir, f"pred_{i:04d}.pgm"))
+                write_ppm(colorize_labels(p), os.path.join(out_dir, f"pred_{i:04d}.ppm"))
 
     accuracy, iou, miou = metrics(cm)
     report = {
@@ -55,11 +59,6 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
         "per_class_iou": [None if np.isnan(v) else float(v) for v in iou],
         "miou": miou,
     }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for i, p in enumerate(preds):
-            write_pgm(p.astype(np.uint8), os.path.join(out_dir, f"pred_{i:04d}.pgm"))
-            write_ppm(colorize_labels(p), os.path.join(out_dir, f"pred_{i:04d}.ppm"))
     if report_path is not None:
         with open(report_path, "w") as f:
             json.dump(report, f, indent=1)

@@ -87,26 +87,41 @@ class AdamW:
 
 def prepare_batches(samples, bins):
     """Frames (N, 1, H, W) in [0, 1], raw voxels (N, B, H, W), each binned
-    into the batch over its own events' span, and int64 labels (N, H, W)."""
+    into the batch over its own events' span, and int64 labels (N, H, W).
+
+    Each sample's arrays depend on that sample alone, so train, run_eval
+    and profile call this on one batch at a time and hold no more."""
     frames = np.stack([s.frame for s in samples])[:, None] / 255.0
     labels = np.stack([s.labels for s in samples]).astype(np.int64)
     voxels = np.zeros((len(samples), bins) + frames.shape[2:])
     for s, grid in zip(samples, voxels):
-        if len(s.events):
-            t0, t1 = int(s.events.ts[0]), int(s.events.ts[-1])
+        t = s.events.events["t"]
+        if len(t):
+            t0, t1 = int(t[0]), int(t[-1])
             voxelize(s.events, bins, t0, max(t1, t0 + 1), out=grid)
     return frames, voxels, labels
+
+
+def check_shapes(samples):
+    """Raise ValueError unless all frames, and all label maps, share one
+    shape; a split is checked whole before its first batch is prepared."""
+    for name in ("frame", "labels"):
+        shapes = {getattr(s, name).shape for s in samples}
+        if len(shapes) > 1:
+            raise ValueError(f"samples differ in {name} shape: {sorted(shapes)}")
 
 
 def train(net: HybridNetwork, samples, cfg: TrainConfig, log_every=0):
     """Train in place; returns (net, per-iteration loss array).
 
     Batches follow one seeded shuffle of the dataset, then cycle in that
-    fixed order, so runs are bit-reproducible for fixed seeds.
+    fixed order, so runs are bit-reproducible for fixed seeds. Each step
+    prepares only its own batch_size samples: memory grows with the batch,
+    not with the dataset.
     """
     if not samples:
         raise ValueError("empty training dataset")
-    frames, voxels, labels = prepare_batches(samples, net.config.bins)
+    check_shapes(samples)
     order = np.random.default_rng(cfg.seed).permutation(len(samples))
     aug_rng = np.random.default_rng(cfg.seed + 0x5E5)
     optimizer = AdamW(net.params, weight_decay=cfg.weight_decay)
@@ -115,7 +130,7 @@ def train(net: HybridNetwork, samples, cfg: TrainConfig, log_every=0):
     for it in range(cfg.total_iterations):
         idx = order[[(cursor + j) % len(samples) for j in range(cfg.batch_size)]]
         cursor = (cursor + cfg.batch_size) % len(samples)
-        f, v, l = frames[idx], voxels[idx], labels[idx]
+        f, v, l = prepare_batches([samples[i] for i in idx], net.config.bins)
         if cfg.augment_flip:
             flip = aug_rng.random(len(idx)) < 0.5
             f = np.where(flip[:, None, None, None], f[..., ::-1], f)

@@ -151,8 +151,8 @@ def render_sequence_full_image(scene, cfg):
 LEVELS = st.sampled_from(CLASS_LEVELS + (BACKGROUND_LEVEL, BACKGROUND_LEVEL + CONTRAST_THRESHOLD,
                                          BACKGROUND_LEVEL - CONTRAST_THRESHOLD)) | st.floats(0, 1)
 # half sizes on and off the .5 grid; the last range holds sizes larger
-# than the scene and negative ones (an empty box, as SynthConfig(min_size
-# < 0) can draw)
+# than the scene and negative ones (an empty box: SynthConfig rejects
+# min_size < 0, so only a _Shape built by hand, as here, has one)
 HALVES = st.floats(0, 10) | st.integers(0, 20).map(lambda k: k / 2) | st.floats(-6, 40)
 
 

@@ -148,6 +148,38 @@ class TestEventIO:
             with pytest.raises(ValueError, match="event 1 has t = 18446744073709551615, "):
                 make_stream(4, 4, [0, 0], [0, 0], [5, 2**64 - 1], [1, 1])
 
+    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (float("nan"), "nan"),
+                                            (float("inf"), "inf"), (-float("inf"), "-inf")])
+    def test_make_stream_rejects_a_float_that_is_not_whole(self, bad, shown):
+        # unchecked, the cast stored 1.7 as 1 and a NaN failed without its index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"event 1 has x = {shown}, not a whole number"):
+                make_stream(4, 4, [2.0, bad], [0, 0], [1, 2], [1, 1])
+            with pytest.raises(ValueError, match=f"event 0 has t = {shown}, not a whole number"):
+                make_stream(4, 4, [0, 0], [0, 0], np.array([bad, 2.0]), [1, 1])
+
+    def test_make_stream_accepts_whole_floats(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = make_stream(4, 4, [2.0, 3.0], np.array([1.0, 0.0]), [1.0, 2], [1.0, -1.0])
+        assert s.events.tobytes() == make_stream(4, 4, [2, 3], [1, 0], [1, 2], [1, -1]).events.tobytes()
+
+    def test_slice_is_a_read_only_view(self):
+        s = random_stream(3, n=20)
+        w = s.slice(5, 12)
+        assert (w.width, w.height) == (s.width, s.height)
+        assert w.events.tobytes() == s.events[5:12].tobytes()
+        assert np.shares_memory(w.events, s.events)
+        assert not w.events.flags.writeable and s.events.flags.writeable
+        assert len(s.slice(20, 20)) == 0 and len(s.slice(0, 20).slice(3, 3)) == 0
+
+    @pytest.mark.parametrize("start, stop", [(-1, 10), (0, 21), (8, 7), (21, 21)])
+    def test_slice_outside_the_stream_rejected(self, start, stop):
+        # unchecked, slice(-1, 10) wrapped to an empty window
+        with pytest.raises(ValueError, match=f"slice {start}..{stop} outside the stream's 0..20"):
+            random_stream(3, n=20).slice(start, stop)
+
     def test_last_window(self):
         # a sample keeps the most recent max_events events of its window
         cfg = SynthConfig(width=16, height=16, frame_count=3, num_shapes=1,
