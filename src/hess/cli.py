@@ -125,15 +125,7 @@ def cmd_gen(args):
 
 def cmd_voxelize(args):
     stream = read_events(args.events)
-    t0, t1 = args.t_start, args.t_end
-    if t0 is None or t1 is None:
-        if len(stream) == 0:
-            raise ValueError("empty stream needs explicit --t-start/--t-end")
-        t0 = int(stream.ts[0]) if t0 is None else t0
-        t1 = int(stream.ts[-1]) if t1 is None else t1
-        if t1 <= t0:
-            t1 = t0 + 1
-    grid = voxelize(stream, args.bins, t0, t1)
+    grid = voxelize(stream, args.bins, args.t_start, args.t_end)
     np.save(args.out, grid)
     bins, height, width = grid.shape
     print(f"voxelized {len(stream)} events into {bins}x{height}x{width} ({args.out})")

@@ -74,6 +74,7 @@ class NetworkConfig:
             for _, channels in self.scales:
                 if channels % self.adaptor_ratio:
                     raise ValueError("channel widths must be divisible by the adaptor ratio")
+        self.lif()      # rejects bad LIF settings here, not at the first forward
 
     def lif(self):
         return LIFConfig(tau=self.tau, v_threshold=self.v_threshold,
@@ -327,8 +328,8 @@ def save_checkpoint(net: HybridNetwork, path, optimizer_state=None):
 def load_checkpoint(path):
     """Rebuild (network, optimizer_state_or_None) from a checkpoint.
 
-    Every read is bounds-checked: a short or malformed file raises
-    ValueError naming the path.
+    Every read is bounds-checked: a short or malformed file, or a
+    non-finite parameter or moment, raises ValueError naming the path.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -344,9 +345,11 @@ def load_checkpoint(path):
     def unpack(fmt):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    def array(shape):
-        count = int(np.prod(shape))
-        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
+    def array(shape, what):
+        values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {what} holds a non-finite value")
+        return values
 
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
@@ -368,7 +371,7 @@ def load_checkpoint(path):
         if shape != p.shape:
             raise ValueError(f"{path}: parameter {name} has shape {shape}, "
                              f"expected {p.shape}")
-        p.data = array(shape).astype(p.data.dtype)   # a writable copy
+        p.data = array(shape, f"parameter {name}").astype(p.data.dtype)   # a writable copy
     (has_optim,) = unpack("<B")
     optim = None
     if has_optim:
@@ -376,5 +379,5 @@ def load_checkpoint(path):
         optim = {"step": step, "m": {}, "v": {}}
         for name, p in net.params.items():
             for key in ("m", "v"):
-                optim[key][name] = array(p.shape).copy()
+                optim[key][name] = array(p.shape, f"optimizer {key} of {name}").copy()
     return net, optim

@@ -111,8 +111,7 @@ def conv2d(x, w, b, stride=1, pad=0):
                 dx = dx.astype(x.data.dtype, copy=False)
         return dx, dw.reshape(w.shape), db
 
-    record_op([out], [x, w, b], backward)
-    return out
+    return record_op(out, [x, w, b], backward)
 
 
 def linear(x, w, b=None):
@@ -142,8 +141,7 @@ def linear(x, w, b=None):
             return dx, dw
         return dx, dw, gm.sum(axis=0)
 
-    record_op([out], [x, w] + ([b] if b is not None else []), backward)
-    return out
+    return record_op(out, [x, w] + ([b] if b is not None else []), backward)
 
 
 def softmax_axis(x, axis):
@@ -270,8 +268,7 @@ def bilinear_sample_many(maps, points, index=None):
             dpts = dpts.reshape(r, p, 2)
         return dmaps, dpts
 
-    record_op([out], [maps, points], backward)
-    return out
+    return record_op(out, [maps, points], backward)
 
 
 def _points(maps_shape, iy, ix, index, shape):
@@ -313,8 +310,7 @@ def gather_pixels_many(maps, iy, ix, index=None):
         dmaps[umi, :, upos] = acc
         return (dmaps.reshape(maps.shape),)
 
-    record_op([out], [maps], backward)
-    return out
+    return record_op(out, [maps], backward)
 
 
 def scatter_points_many(base, updates, iy, ix, index=None):
@@ -334,8 +330,7 @@ def scatter_points_many(base, updates, iy, ix, index=None):
     def backward(g):
         return g, g.reshape(m, c, h * w)[mi, :, pos].reshape(updates.shape)
 
-    record_op([out], [base, updates], backward)
-    return out
+    return record_op(out, [base, updates], backward)
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,8 +368,7 @@ def interp_resize(x, out_h, out_w):
     def backward(g):
         return (np.matmul(np.matmul(ay.T, g), ax_t.T),)
 
-    record_op([out], [x], backward)
-    return out
+    return record_op(out, [x], backward)
 
 
 def group_norm(x, gamma, beta, eps=1e-5):
@@ -422,5 +416,4 @@ def cross_entropy(logits, labels, ignore_index=255):
         d = (soft - onehot) * mask[:, None] / count
         return (g * d,)
 
-    record_op([out], [logits], backward)
-    return out
+    return record_op(out, [logits], backward)

@@ -95,10 +95,8 @@ def prepare_batches(samples, bins):
     labels = np.stack([s.labels for s in samples]).astype(np.int64)
     voxels = np.zeros((len(samples), bins) + frames.shape[2:])
     for s, grid in zip(samples, voxels):
-        t = s.events.events["t"]
-        if len(t):
-            t0, t1 = int(t[0]), int(t[-1])
-            voxelize(s.events, bins, t0, max(t1, t0 + 1), out=grid)
+        if len(s.events):
+            voxelize(s.events, bins, out=grid)
     return frames, voxels, labels
 
 

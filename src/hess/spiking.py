@@ -2,7 +2,7 @@
 surrogate gradient.
 
 Membrane update per step: H = V + (X - V)/tau, spike S = [H >= theta],
-then V resets to v_reset where S fired and keeps H elsewhere. The
+then V resets to 0 where S fired and keeps H elsewhere. The
 membrane is stored as a compensated pair (hi, lo): a long sub-threshold
 approach must not falsely cross the threshold just because the rounded
 sum lands on theta, so the update uses an exact two-sum and the spike
@@ -26,14 +26,13 @@ from .tensor import Tensor, constant, record_op, sigmoid_array
 class LIFConfig:
     tau: float = 2.0
     v_threshold: float = 1.0
-    v_reset: float = 0.0
     surrogate_alpha: float = 4.0
 
     def __post_init__(self):
-        if not self.tau > 1.0:
-            raise ValueError("tau must be > 1")
-        if not self.v_threshold > self.v_reset:
-            raise ValueError("v_threshold must exceed v_reset")
+        for key, low in (("tau", 1.0), ("v_threshold", 0.0), ("surrogate_alpha", 0.0)):
+            value = getattr(self, key)
+            if not low < value < np.inf:
+                raise ValueError(f"{key} must be finite and > {low:g}, got {value!r}")
 
 
 @dataclass
@@ -47,9 +46,8 @@ class LIFState:
     lo: np.ndarray
 
     @classmethod
-    def zeros(cls, shape, cfg: LIFConfig, dtype=np.float64):
-        return cls(np.full(shape, cfg.v_reset, dtype=dtype),
-                   np.zeros(shape, dtype=dtype))
+    def zeros(cls, shape, dtype=np.float64):
+        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
 
 
 def _two_sum(a, b):
@@ -73,13 +71,12 @@ def _step_arrays(state: LIFState, x, cfg: LIFConfig):
     over = h - cfg.v_threshold
     over += h_lo
     spike = over >= 0.0
-    # np.where(spike, v_reset or 0.0, h or h_lo) as masks on the integer view
+    # np.where(spike, 0.0, h or h_lo) as a mask on the integer view
     itype = np.dtype(f"i{h.dtype.itemsize}")
     keep = spike.astype(itype)
     keep -= 1
     lo_next = np.bitwise_and(h_lo.view(itype), keep, out=h_lo.view(itype)).view(h.dtype)
     v_next = h.view(itype) & keep
-    v_next |= np.array(cfg.v_reset, h.dtype).view(itype) & ~keep
     return h, spike, LIFState(v_next.view(h.dtype), lo_next)
 
 
@@ -112,7 +109,7 @@ def surrogate_grad(h, cfg: LIFConfig):
 def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
     """Run a LIF layer over the time axis of N*T*... input currents
     (N*T*C*H*W in the network) as one op; returns the spikes, same shape.
-    The state starts at v_reset.
+    The state starts at rest (0).
 
     With smooth=True the spike output is the scaled sigmoid itself
     instead of the Heaviside (the reset still uses the hard threshold);
@@ -131,7 +128,7 @@ def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
     steps = x.shape[1]
     h = np.empty_like(x.data)
     spike = np.empty(x.shape, dtype=bool)
-    state = LIFState.zeros(x.shape[:1] + x.shape[2:], cfg, dtype=x.data.dtype)
+    state = LIFState.zeros(x.shape[:1] + x.shape[2:], dtype=x.data.dtype)
     for t in range(steps):
         h[:, t], spike[:, t], state = _step_arrays(state, x.data[:, t], cfg)
     out = Tensor(_sigmoid_of(h, cfg) if smooth else spike.astype(x.data.dtype))
@@ -151,8 +148,7 @@ def lif_forward_seq(currents, cfg: LIFConfig, smooth=False):
             carry = np.multiply(dh, 1.0 - inv_tau, out=dh)
         return (dx,)
 
-    record_op([out], [x], backward)
-    return out
+    return record_op(out, [x], backward)
 
 
 def constant_input_trajectory(x_const, cfg: LIFConfig, steps):
@@ -164,7 +160,7 @@ def constant_input_trajectory(x_const, cfg: LIFConfig, steps):
     point, since the trajectory is constant from there on; the returned
     array is then truncated (no spike can ever follow).
     """
-    state = LIFState.zeros((1,), cfg)
+    state = LIFState.zeros((1,))
     x = np.full((1,), float(x_const))
     hs = []
     prev = None

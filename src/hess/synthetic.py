@@ -165,18 +165,19 @@ def build_scene(seed, config: SynthConfig) -> Scene:
 
 def gen_synthetic(seed, config: SynthConfig):
     """Scene from seed -> (event stream, frames, label maps, frame times)."""
-    return render_sequence(build_scene(seed, config), config)
+    return render_sequence(build_scene(seed, config))
 
 
-def render_sequence(scene: Scene, config: SynthConfig):
-    """Render a scene: (event stream, frames, label maps, frame timestamps).
+def render_sequence(scene: Scene):
+    """Render a scene under its own config: (event stream, frames, label
+    maps, frame timestamps).
 
     Frames are uint8 renderings at uniform timestamps k/frame_count *
     duration (k = 1..frame_count); events come from micro-step
     differencing between them, of the pixels where a shape's box moved (no
     other can change), in time, then row-major pixel order.
     """
-    cfg = config
+    cfg = scene.config
     total_steps = cfg.frame_count * cfg.micro_steps
     step_times = [int(round((m + 1) * cfg.duration_us / total_steps))
                   for m in range(total_steps)]

@@ -2,10 +2,11 @@
 inside using_dtype) with tape-based reverse-mode differentiation.
 
 The operator set is intentionally small: exactly what the two-branch
-segmentation network needs (elementwise arithmetic, reductions,
-reshape/transpose) plus a finite-difference gradient checker.
-Structured ops (convolution, sampling, resizing) live in :mod:`hess.ops`
-and register themselves on the same tape.
+segmentation network needs. The elementwise arithmetic, reductions and
+reshape/transpose are Tensor methods; structured ops (convolution,
+sampling, resizing) live in :mod:`hess.ops` and :mod:`hess.spiking`.
+Every op registers its one output on the same tape with record_op. A
+finite-difference gradient checker completes the module.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ def using_dtype(dtype):
 
 
 class _OpRecord:
-    """One executed operation: outputs, parents and a backward closure."""
+    """One executed operation: its output, parents and a backward closure
+    (None once replayed)."""
 
-    __slots__ = ("outputs", "parents", "backward", "released")
+    __slots__ = ("output", "parents", "backward")
 
-    def __init__(self, outputs, parents, backward):
-        self.outputs = outputs
+    def __init__(self, output, parents, backward):
+        self.output = output
         self.parents = parents
         self.backward = backward
-        self.released = False
 
 
 class GradTape:
@@ -140,11 +141,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_record")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, np.ndarray) and data.dtype == DTYPE:
-            arr = np.ascontiguousarray(data)
-        else:
-            arr = np.ascontiguousarray(np.asarray(data, dtype=DTYPE))
-        self.data = arr
+        self.data = np.ascontiguousarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._record = None
@@ -183,17 +180,13 @@ class Tensor:
             raise ValueError("backward requires a scalar loss")
         if self._record is None:
             raise RuntimeError("loss was not produced by a recorded forward pass")
-        if self._record.released:
+        if self._record.backward is None:
             raise RuntimeError("backward called twice on a released tape")
         self.grad = np.ones_like(self.data)
         summed = set()     # ids of tensors whose .grad this pass allocated
         for rec in reversed(_tape.records):
-            if rec.released:
-                continue
-            grads_out = [o.grad for o in rec.outputs]
-            if any(g is not None for g in grads_out):
-                grads_in = rec.backward(*grads_out)
-                for parent, g in zip(rec.parents, grads_in):
+            if rec.backward is not None and rec.output.grad is not None:
+                for parent, g in zip(rec.parents, rec.backward(rec.output.grad)):
                     if g is None or not parent.requires_grad:
                         continue
                     if parent.grad is None:
@@ -204,50 +197,82 @@ class Tensor:
                         parent.grad = np.add(parent.grad, g,
                                              out=np.empty_like(parent.grad))
                         summed.add(id(parent))
-                for o in rec.outputs:
-                    o.grad = None  # intermediates: free once consumed
-            # each output points back at its record: dropping the record's
+                rec.output.grad = None  # intermediates: free once consumed
+            # the output points back at its record: dropping the record's
             # references breaks that cycle, so the step's graph is freed by
             # reference counting as soon as the caller drops the loss
-            rec.released = True
-            rec.outputs = rec.parents = rec.backward = None
+            rec.output = rec.parents = rec.backward = None
         _tape.records.clear()
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, other)
+        other = constant(other)
+        return _single(self.data + other.data, [self, other],
+                       lambda g: (_unbroadcast(g, self.data.shape),
+                                  _unbroadcast(g, other.data.shape)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other)
+        other = constant(other)
+        return _single(self.data - other.data, [self, other],
+                       lambda g: (_unbroadcast(g, self.data.shape),
+                                  _unbroadcast(-g, other.data.shape)))
 
     def __mul__(self, other):
-        return mul(self, other)
+        other = constant(other)
+        return _single(self.data * other.data, [self, other],
+                       lambda g: (_unbroadcast(g * other.data, self.data.shape),
+                                  _unbroadcast(g * self.data, other.data.shape)))
 
     __rmul__ = __mul__
 
     def __pow__(self, p):
-        return power(self, p)
+        p = float(p)
+        return _single(self.data ** p, [self], lambda g: (g * p * self.data ** (p - 1.0),))
 
     def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
+        def backward(g):
+            g = np.asarray(g)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, self.data.shape).copy(),)
+
+        return _single(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), [self],
+                       backward)
 
     def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
+        out_data = self.data.mean(axis=axis, keepdims=keepdims)
+        denom = self.data.size / max(np.asarray(out_data).size, 1)
+
+        def backward(g):
+            g = np.asarray(g)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, self.data.shape) / denom,)
+
+        return _single(np.asarray(out_data), [self], backward)
 
     def reshape(self, shape):
-        return reshape(self, shape)
+        return _single(self.data.reshape(shape), [self],
+                       lambda g: (g.reshape(self.data.shape),))
 
     def transpose(self, axes):
-        return transpose(self, axes)
+        axes = tuple(axes)
+        inv = tuple(np.argsort(axes))
+        return _single(np.ascontiguousarray(self.data.transpose(axes)), [self],
+                       lambda g: (g.transpose(inv),))
 
     def relu(self):
-        return relu(self)
+        # where() keeps zeros at +0.0, which the silent-branch bit-exactness
+        # checks rely on
+        mask = self.data > 0
+        return _single(np.where(mask, self.data, 0.0), [self], lambda g: (g * mask,))
 
     def sigmoid(self):
-        return sigmoid(self)
+        out_data = sigmoid_array(self.data)
+        return _single(out_data, [self], lambda g: (g * out_data * (1.0 - out_data),))
 
 
 def constant(data):
@@ -264,27 +289,23 @@ def fan_in_uniform(rng, shape, fan_in):
     return parameter(rng.uniform(-limit, limit, size=shape))
 
 
-def record_op(outputs, parents, backward):
-    """Register a multi-output op on the active tape.
+def record_op(out, parents, backward):
+    """Register an op's output ``out`` on the active tape and return it.
 
-    backward receives one upstream gradient per output (None where unused)
-    and returns one gradient per parent (None allowed); it must not write
-    into the gradients it receives, which the tape may share. Outputs inherit
+    backward receives the upstream gradient of ``out`` and returns one
+    gradient per parent (None allowed); it must not write into the gradient
+    it receives, which the tape may share. The output inherits
     requires_grad from the parents; nothing is recorded under no_grad.
     """
     if _recording and any(p.requires_grad for p in parents):
-        rec = _OpRecord(outputs, parents, backward)
-        for o in outputs:
-            o.requires_grad = True
-            o._record = rec
-        _tape.records.append(rec)
-    return outputs
-
-
-def _single(out_data, parents, backward_single):
-    out = Tensor(out_data)
-    record_op([out], parents, backward_single)
+        out.requires_grad = True
+        out._record = _OpRecord(out, parents, backward)
+        _tape.records.append(out._record)
     return out
+
+
+def _single(out_data, parents, backward):
+    return record_op(Tensor(out_data), parents, backward)
 
 
 def _unbroadcast(g, shape):
@@ -297,44 +318,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def add(a, b):
-    a, b = constant(a), constant(b)
-    out_data = a.data + b.data
-    return _single(out_data, [a, b],
-                   lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-
-
-def sub(a, b):
-    a, b = constant(a), constant(b)
-    out_data = a.data - b.data
-    return _single(out_data, [a, b],
-                   lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
-
-
-def mul(a, b):
-    a, b = constant(a), constant(b)
-    out_data = a.data * b.data
-    return _single(out_data, [a, b],
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)))
-
-
-def power(a, p):
-    a = constant(a)
-    p = float(p)
-    out_data = a.data ** p
-    return _single(out_data, [a], lambda g: (g * p * a.data ** (p - 1.0),))
-
-
-def relu(a):
-    a = constant(a)
-    # where() keeps zeros at +0.0, which the silent-branch bit-exactness
-    # checks rely on
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
-    return _single(out_data, [a], lambda g: (g * mask,))
 
 
 def sigmoid_array(z):
@@ -350,53 +333,6 @@ def sigmoid_array(z):
     e += 1.0
     num /= e
     return num
-
-
-def sigmoid(a):
-    a = constant(a)
-    out_data = sigmoid_array(a.data)
-    return _single(out_data, [a], lambda g: (g * out_data * (1.0 - out_data),))
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = constant(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _single(np.asarray(out_data), [a], backward)
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = constant(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.data.size / max(np.asarray(out_data).size, 1)
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / denom,)
-
-    return _single(np.asarray(out_data), [a], backward)
-
-
-def reshape(a, shape):
-    a = constant(a)
-    out_data = a.data.reshape(shape)
-    return _single(out_data, [a], lambda g: (g.reshape(a.data.shape),))
-
-
-def transpose(a, axes):
-    a = constant(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out_data = np.ascontiguousarray(a.data.transpose(axes))
-    return _single(out_data, [a], lambda g: (g.transpose(inv),))
 
 
 # -- gradient checking -----------------------------------------------------

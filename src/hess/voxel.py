@@ -16,11 +16,21 @@ import numpy as np
 from .events import EventStream
 
 
-def voxelize(stream: EventStream, bins, t_start, t_end, out=None) -> np.ndarray:
+def voxelize(stream: EventStream, bins, t_start=None, t_end=None, out=None) -> np.ndarray:
     """Accumulate a stream into a B*H*W grid over [t_start, t_end]: a new
-    zero grid, or ``out`` (C-contiguous float64, added to and returned)."""
+    zero grid, or ``out`` (C-contiguous float64, added to and returned).
+
+    A missing bound is the stream's own first or last event time, and an
+    end taken from the stream is widened to at least t_start + 1 (a single
+    instant gets a 1 us window); a bound that is given is used as given."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if t_start is None or t_end is None:
+        t = stream.events["t"]
+        if not len(t):
+            raise ValueError("an empty stream needs an explicit t_start and t_end")
+        t_start = int(t[0]) if t_start is None else t_start
+        t_end = max(int(t[-1]), t_start + 1) if t_end is None else t_end
     if t_end <= t_start:
         raise ValueError("voxel window must satisfy t_start < t_end")
     shape = (bins, stream.height, stream.width)

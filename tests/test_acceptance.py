@@ -92,7 +92,7 @@ class TestAcceptance:
         cfg = LIFConfig(tau=2.0, v_threshold=1.0)
         # sub-threshold trajectory matches c * (1 - (1 - 1/tau)^t)
         c = 0.8
-        state = LIFState.zeros((1,), cfg)
+        state = LIFState.zeros((1,))
         worst = 0.0
         for t in range(1, 60):
             s, state = lif_step(state, np.array([c]), cfg)
@@ -101,7 +101,7 @@ class TestAcceptance:
             worst = max(worst, abs(state.v[0] + state.lo[0] - expected))
         assert worst <= 1e-12
         # X = 2 spikes on the first step
-        s, _ = lif_step(LIFState.zeros((1,), cfg), np.array([2.0]), cfg)
+        s, _ = lif_step(LIFState.zeros((1,)), np.array([2.0]), cfg)
         assert s[0] == 1.0
         # X = 1 never spikes within a million steps
         _, spike_at = constant_input_trajectory(1.0, cfg, 1_000_000)

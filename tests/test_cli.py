@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from hess.cli import main
-from hess.events import write_events
+from hess.events import make_stream, write_events
 from hess.network import NetworkConfig, build, save_checkpoint
+from hess.optim import AdamW
 from hess.synthetic import SynthConfig, load_dataset, make_samples
+
+# LIF settings NetworkConfig rejects when it is built
+BAD_LIF = [("tau", 0.5), ("tau", float("inf")), ("v_threshold", 0.0),
+           ("v_threshold", float("nan")), ("surrogate_alpha", float("nan")),
+           ("surrogate_alpha", -4.0)]
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +75,17 @@ class TestCLI:
         assert main(["voxelize", "--events", str(p), "--bins", "2",
                      "--t-start", "0", "--t-end", "10",
                      "--out", str(tmp_path / "g.npy")]) == 0
+
+    @pytest.mark.parametrize("bounds", [["--t-end", "50"], ["--t-start", "100", "--t-end", "50"]])
+    def test_voxelize_keeps_an_explicit_end(self, tmp_path, capsys, bounds):
+        # every event is at t = 100: an end of 50 is an error, not [100, 101]
+        p = tmp_path / "instant.evt1"
+        write_events(make_stream(8, 8, [1, 2], [3, 4], [100, 100], [1, -1]), p)
+        out = tmp_path / "g.npy"
+        assert main(["voxelize", "--events", str(p), "--bins", "2",
+                     "--out", str(out)] + bounds) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_train_eval_profile_pipeline(self, workspace):
         ckpt = workspace / "model.hess"
@@ -155,6 +172,29 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "m.hess").exists()
+
+    @pytest.mark.parametrize("key, value", BAD_LIF)
+    def test_train_rejects_bad_lif_setting(self, workspace, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"network": {key: value}}))   # NaN, Infinity
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be finite and >" in err
+        assert not (tmp_path / "m.hess").exists()
+
+    @pytest.mark.parametrize("where", ["param", "m"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_eval_non_finite_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                      where, bad):
+        net = build(NetworkConfig(scales=((2, 4),), k_points=1))
+        state = AdamW(net.params).state()
+        (net.params["head.cls.b"].data if where == "param" else state["m"]["head.cls.b"])[0] = bad
+        ckpt = tmp_path / "bad.hess"
+        save_checkpoint(net, ckpt, state)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "test")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "head.cls.b" in err and "non-finite" in err
 
     @pytest.mark.parametrize("section", ["network", "train"])
     def test_train_rejects_unknown_config_key(self, workspace, tmp_path, capsys, section):

@@ -178,7 +178,7 @@ def test_render_sequence_matches_full_image_differencing(scene):
     # shapes drifting, bouncing, overlapping, empty, or larger than the
     # scene and so pinned; repeated micro-step times when duration_us is
     # below the step count
-    stream, frames, labels, times = render_sequence(scene, scene.config)
+    stream, frames, labels, times = render_sequence(scene)
     want_stream, want_frames, want_labels, want_times = render_sequence_full_image(
         scene, scene.config)
     assert (stream.width, stream.height) == (want_stream.width, want_stream.height)

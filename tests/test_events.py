@@ -252,6 +252,15 @@ class TestSynthetic:
         for lo, hi in ((1, 50), (2, 19), (7, 7)):
             assert SynthConfig(min_size=lo, max_size=hi).min_size == lo
 
+    def test_render_sequence_follows_the_scene_config(self):
+        # a scene renders under the config it was built from, and only that
+        cfg = SynthConfig(width=24, height=20, frame_count=5, micro_steps=2)
+        stream, frames, labels, times = render_sequence(build_scene(3, cfg))
+        assert (stream.width, stream.height) == (24, 20) and len(stream) > 0
+        assert len(frames) == len(labels) == len(times) == 5
+        assert all(f.shape == l.shape == (20, 24) for f, l in zip(frames, labels))
+        assert times[-1] == cfg.duration_us
+
     def test_zero_shapes(self):
         cfg = SynthConfig(num_shapes=0, frame_count=5)
         stream, frames, labels, _ = gen_synthetic(0, cfg)
@@ -279,7 +288,7 @@ class TestSynthetic:
         scene.shapes[0].vy = 0.0
         scene.shapes[0].vx = 1.0 / (cfg.duration_us / cfg.frame_count)
 
-        stream, _, _, _ = render_sequence(scene, cfg)
+        stream, _, _, _ = render_sequence(scene)
         total = cfg.frame_count * cfg.micro_steps
         times = [int(round((m + 1) * cfg.duration_us / total)) for m in range(total)]
         expected = []

@@ -2,7 +2,7 @@
 every public top-level name and every public method or property of a
 public class is referenced somewhere besides its own definition, and every
 hess function the benchmark's tracer wraps, and every hook its train
-workload patches, exists."""
+workload patches, exists, and tape records keep the form the tracer reads."""
 
 import ast
 import importlib
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hess import optim, tensor
-from hess.network import NetworkConfig, build
+from hess.network import NetworkConfig, build, forward
 from hess.synthetic import SynthConfig, make_samples
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +96,26 @@ def test_train_workload_hooks_resolve(monkeypatch):
     optim.train(net, samples, optim.TrainConfig(total_iterations=1, warmup_iterations=0,
                                                 batch_size=1))
     assert len(calls) == 1 and calls[0] > 0
+
+
+def test_tape_records_hold_a_backward_until_replay():
+    # perfbench/spans.py wraps rec.backward of each record a traced call
+    # appends to tensor._tape.records, and skips a record whose backward is
+    # None: one that Tensor.backward has already replayed
+    samples = make_samples(0, SynthConfig(width=16, height=16, frame_count=2,
+                                          num_shapes=1, min_size=3, max_size=6))
+    net = build(NetworkConfig(scales=((2, 4), (4, 4)), bins=2, timesteps=2, k_points=1,
+                              adaptor_ratio=2, num_classes=3))
+    frames, voxels, labels = optim.prepare_batches(samples[:1], 2)
+    n0 = len(tensor._tape.records)
+    out = optim.loss(forward(net, frames, voxels), labels)
+    records = tensor._tape.records[n0:]
+    assert records and records[-1] is out._record
+    assert all(callable(rec.backward) and rec.output._record is rec for rec in records)
+    out.backward()
+    assert tensor._tape.records == []
+    assert out._record.backward is None
+    assert all(rec.backward is None for rec in records)
 
 
 def unreferenced_names(src, others):

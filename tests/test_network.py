@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,13 @@ from hess.tensor import constant, grad_check, no_grad, using_dtype
 
 SMALL = dict(scales=((2, 8), (4, 8)), bins=3, timesteps=3, k_points=2,
              adaptor_ratio=2, num_classes=3, input_channels=1)
+
+
+# LIF settings NetworkConfig rejects when it is built
+BAD_LIF = [("tau", 0.5), ("tau", 1.0), ("tau", float("inf")), ("tau", float("nan")),
+           ("v_threshold", 0.0), ("v_threshold", -1.0), ("v_threshold", float("inf")),
+           ("v_threshold", float("nan")), ("surrogate_alpha", 0.0), ("surrogate_alpha", -4.0),
+           ("surrogate_alpha", float("inf")), ("surrogate_alpha", float("nan"))]
 
 
 def small_net(seed=0, **over):
@@ -68,6 +78,13 @@ class TestBuild:
         # network of empty arrays
         with pytest.raises(ValueError, match=f"{field}.* must be >= 1"):
             NetworkConfig(**{field: 0})
+
+    @pytest.mark.parametrize("key, value", BAD_LIF)
+    def test_bad_lif_setting_rejected_when_built(self, key, value):
+        # tau = 0.5 used to pass here and fail only at the first forward
+        # with events; the others were accepted everywhere
+        with pytest.raises(ValueError, match=rf"^where: {key} must be finite and > "):
+            config_from_dict(NetworkConfig, {key: value}, "where")
 
     def test_zero_initialized_injection_heads(self):
         net = small_net()
@@ -355,6 +372,34 @@ class TestCheckpoint:
         assert data.count(old) == 1 and len(old) == len(new)
         p.write_bytes(data.replace(old, new))
         with pytest.raises(ValueError, match="net.hess: config"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value", BAD_LIF)
+    def test_bad_lif_setting_in_config_raises_value_error(self, tmp_path, key, value):
+        p = tmp_path / "net.hess"
+        save_checkpoint(small_net(18), p)
+        data = p.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        cfg = json.loads(data[12:12 + cfg_len])
+        cfg[key] = value
+        text = json.dumps(cfg, sort_keys=True).encode()   # NaN, Infinity
+        p.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + cfg_len:])
+        with pytest.raises(ValueError, match=f"net.hess: config: {key} must be finite"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("where", ["param", "m", "v"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_raises_value_error(self, tmp_path, where, bad):
+        # a NaN head.cls.b used to load, and predict then gave class 0 everywhere
+        net = small_net(19)
+        state = AdamW(net.params).state()
+        p = tmp_path / "net.hess"
+        save_checkpoint(net, p, state)
+        load_checkpoint(p)
+        (net.params["head.cls.b"].data if where == "param" else state[where]["head.cls.b"])[1] = bad
+        save_checkpoint(net, p, state)
+        what = "parameter" if where == "param" else f"optimizer {where} of"
+        with pytest.raises(ValueError, match=f"net.hess: {what} head.cls.b holds a non-finite"):
             load_checkpoint(p)
 
     def test_loaded_parameters_are_writable(self, tmp_path):

@@ -12,20 +12,20 @@ CFG = LIFConfig()
 
 class TestLIFStep:
     def test_rest_stays_at_rest(self):
-        st = LIFState.zeros((3,), CFG)
+        st = LIFState.zeros((3,))
         s, st2 = lif_step(st, np.zeros(3), CFG)
         assert np.all(s == 0.0)
         assert np.all(st2.v == 0.0)
 
     def test_threshold_crossing_and_hard_reset(self):
-        st = LIFState.zeros((1,), CFG)
+        st = LIFState.zeros((1,))
         s, st2 = lif_step(st, np.array([2.0]), CFG)
         # H = 0 + (2 - 0)/2 = 1.0 -> spike, reset to 0
         assert s[0] == 1.0
         assert st2.v[0] == 0.0
 
     def test_subthreshold_recurrence_closed_form(self):
-        st = LIFState.zeros((1,), CFG)
+        st = LIFState.zeros((1,))
         c = 0.8
         for t in range(1, 40):
             s, st = lif_step(st, np.array([c]), CFG)
@@ -41,13 +41,13 @@ class TestLIFStep:
         assert spike_at is None
 
     def test_constant_two_spikes_every_step(self):
-        st = LIFState.zeros((2, 2), CFG)
+        st = LIFState.zeros((2, 2))
         for _ in range(5):
             s, st = lif_step(st, np.full((2, 2), 2.0), CFG)
             assert np.all(s == 1.0)
 
     def test_nonfinite_input_rejected(self):
-        st = LIFState.zeros((1,), CFG)
+        st = LIFState.zeros((1,))
         with pytest.raises(ValueError, match="finite"):
             lif_step(st, np.array([np.nan]), CFG)
 
@@ -55,7 +55,11 @@ class TestLIFStep:
         with pytest.raises(ValueError, match="tau"):
             LIFConfig(tau=1.0)
         with pytest.raises(ValueError, match="threshold"):
-            LIFConfig(v_threshold=0.0, v_reset=0.0)
+            LIFConfig(v_threshold=0.0)
+        for key in ("tau", "v_threshold", "surrogate_alpha"):
+            for bad in (float("inf"), float("nan"), -4.0):
+                with pytest.raises(ValueError, match=f"^{key} must be finite and > "):
+                    LIFConfig(**{key: bad})
 
 
 def steps(*per_step):
@@ -99,7 +103,7 @@ class TestSequence:
         g = np.random.default_rng(5)
         xs = g.normal(size=(2, 6, 3, 2)) * 1.5
         s = lif_forward_seq(constant(xs), CFG)
-        state = LIFState.zeros((2, 3, 2), CFG)
+        state = LIFState.zeros((2, 3, 2))
         for t in range(6):
             ref, state = lif_step(state, xs[:, t], CFG)
             assert s.data[:, t].tobytes() == ref.tobytes()
@@ -139,10 +143,10 @@ def where_step(v, lo, x, cfg):
     bp = h - ap
     h_lo = (v - ap) + (y - bp)
     spike = ((h - cfg.v_threshold) + h_lo) >= 0.0
-    return h, spike, np.where(spike, cfg.v_reset, h), np.where(spike, 0.0, h_lo)
+    return h, spike, np.where(spike, 0.0, h), np.where(spike, 0.0, h_lo)
 
 
-SELECT_CONFIGS = (CFG, LIFConfig(v_reset=-0.3), LIFConfig(tau=3.0, v_threshold=0.7, v_reset=0.2))
+SELECT_CONFIGS = (CFG, LIFConfig(tau=1.5, v_threshold=0.4), LIFConfig(tau=3.0, v_threshold=0.7))
 SELECT_CASES = [(dtype, cfg) for dtype in (np.float32, np.float64) for cfg in SELECT_CONFIGS]
 
 
@@ -161,7 +165,7 @@ class TestSelectMatchesWhere:
             # layer returns its membrane H
             monkeypatch.setattr(spiking, "_sigmoid_of", lambda h, cfg: h.copy())
             hs = lif_forward_seq(constant(xs), cfg, smooth=True).data
-        v, lo = np.full(xs[:, 0].shape, cfg.v_reset, dtype), np.zeros(xs[:, 0].shape, dtype)
+        v, lo = np.zeros(xs[:, 0].shape, dtype), np.zeros(xs[:, 0].shape, dtype)
         for t in range(xs.shape[1]):
             h, spike, v, lo = where_step(v, lo, xs[:, t], cfg)
             assert hs[:, t].tobytes() == h.tobytes()
@@ -169,7 +173,7 @@ class TestSelectMatchesWhere:
 
     def test_lif_step(self, dtype, cfg):
         xs = self.currents(dtype).astype(np.float64)
-        state = LIFState.zeros(xs[:, 0].shape, cfg, dtype=dtype)
+        state = LIFState.zeros(xs[:, 0].shape, dtype=dtype)
         v, lo = state.v, state.lo
         for t in range(xs.shape[1]):
             spikes, state = lif_step(state, xs[:, t], cfg)
@@ -184,7 +188,7 @@ class TestSelectMatchesWhere:
 def test_constant_input_trajectory_matches_where(cfg):
     for x_const in (-0.4, 0.5, 1.0, 1.3, 2.0, 3.7):
         hs, spike_at = constant_input_trajectory(x_const, cfg, 200)
-        v, lo, want = np.full(1, cfg.v_reset), np.zeros(1), []
+        v, lo, want = np.zeros(1), np.zeros(1), []
         for i in range(200):
             h, spike, v_next, lo_next = where_step(v, lo, np.full(1, x_const), cfg)
             want.append(h[0])
@@ -224,7 +228,7 @@ class TestBackward:
             spike = h >= cfg.v_threshold
             hs.append(h)
             keeps.append(~spike)
-            v = np.where(spike, cfg.v_reset, h)
+            v = np.where(spike, 0.0, h)
         dxs = [np.zeros(shape) for _ in range(T)]
         dv = np.zeros(shape)
         for t in reversed(range(T)):

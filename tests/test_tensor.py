@@ -333,9 +333,8 @@ class TestGradCheck:
         from hess.tensor import Tensor, record_op
 
         def bad_square(t):
-            out = Tensor(t.data ** 2)
-            record_op([out], [t], lambda g: (g * 3.0 * t.data,))  # wrong: 3x not 2x
-            return out
+            return record_op(Tensor(t.data ** 2), [t],
+                             lambda g: (g * 3.0 * t.data,))  # wrong: 3x not 2x
 
         x = parameter([1.0, -2.0])
         err = grad_check(lambda: bad_square(x).sum(), [x])
@@ -356,6 +355,25 @@ class TestGradCheck:
             return (y * y).sum()
 
         assert grad_check(fn, [x, w, b], eps=1e-5) <= 1e-4
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: 0.5 + x, lambda x, y: x - y,
+        lambda x, y: x * y, lambda x, y: 2.0 * x, lambda x, y: x ** 3.0,
+        lambda x, y: x.relu() * y, lambda x, y: x.sigmoid(),
+        lambda x, y: x.sum(axis=1), lambda x, y: x.sum(axis=0, keepdims=True) * y,
+        lambda x, y: x.mean(axis=1), lambda x, y: x.mean(axis=(0, 1), keepdims=True) * y,
+        lambda x, y: x.reshape((4, 3)), lambda x, y: x.transpose((1, 0)),
+    ], ids=["add", "radd", "sub", "mul", "rmul", "pow", "relu", "sigmoid", "sum_axis",
+            "sum_keepdims", "mean_axis", "mean_keepdims", "reshape", "transpose"])
+    def test_tensor_method_grads(self, op):
+        # each Tensor method on its own, against central differences; the
+        # output is weighted so that every entry's gradient differs
+        g = rng(400)
+        x = parameter(g.uniform(0.5, 1.5, size=(3, 4)) * g.choice([-1.0, 1.0], size=(3, 4)))
+        y = parameter(g.normal(size=(3, 4)))
+        with no_grad():
+            weights = constant(g.normal(size=op(x, y).shape))
+        assert grad_check(lambda: (op(x, y) * weights).sum(), [x, y], eps=1e-6) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sampling_and_resize_grads(self, seed):

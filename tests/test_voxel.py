@@ -51,6 +51,41 @@ class TestVoxelize:
         v = voxelize(s, 5, 0, 1000)
         assert v[4, 1, 1] == 1.0
 
+    def test_missing_bounds_come_from_the_stream(self):
+        s = random_stream(5, 40)
+        t0, t1 = int(s.ts[0]), int(s.ts[-1])
+        assert voxelize(s, 4).tobytes() == voxelize(s, 4, t0, t1).tobytes()
+        assert voxelize(s, 4, t_end=t1 + 500).tobytes() == voxelize(s, 4, t0, t1 + 500).tobytes()
+        assert voxelize(s, 4, t_start=t0 - 500).tobytes() == voxelize(s, 4, t0 - 500, t1).tobytes()
+
+    def test_single_instant_stream_with_the_end_missing(self):
+        # the end taken from the stream is widened to t_start + 1
+        s = make_stream(4, 4, [1, 2], [0, 3], [100, 100], [1, -1])
+        for v in (voxelize(s, 3), voxelize(s, 3, t_start=100)):
+            assert v.tobytes() == voxelize(s, 3, 100, 101).tobytes()
+            assert v[0, 0, 1] == 1.0 and v[0, 3, 2] == -1.0 and np.abs(v).sum() == 2.0
+        assert voxelize(s, 3, t_start=40).tobytes() == voxelize(s, 3, 40, 100).tobytes()
+
+    def test_single_instant_stream_with_the_start_missing(self):
+        # the start comes from the stream; an explicit end is never rewritten
+        s = make_stream(4, 4, [1, 2], [0, 3], [100, 100], [1, -1])
+        assert voxelize(s, 3, t_end=200).tobytes() == voxelize(s, 3, 100, 200).tobytes()
+        for t_end in (50, 100):
+            with pytest.raises(ValueError, match="t_start < t_end"):
+                voxelize(s, 3, t_end=t_end)
+
+    @pytest.mark.parametrize("bounds", [{}, {"t_start": 0}, {"t_end": 100}])
+    def test_empty_stream_with_a_bound_missing(self, bounds):
+        with pytest.raises(ValueError, match="explicit t_start and t_end"):
+            voxelize(EventStream(8, 8), 3, **bounds)
+
+    def test_explicit_bounds_are_used_as_given(self):
+        s = make_stream(4, 4, [1], [1], [100], [1])
+        v = voxelize(s, 5, 0, 200)
+        assert v[2, 1, 1] == 1.0 and v.sum() == 1.0
+        with pytest.raises(ValueError, match="t_start < t_end"):
+            voxelize(s, 5, 100, 100)
+
     def test_window_errors(self):
         s = make_stream(4, 4, [1], [1], [50], [1])
         with pytest.raises(ValueError, match="t_start < t_end"):
