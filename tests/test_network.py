@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -446,3 +447,109 @@ class TestWholeNetworkGradient:
                    ("stage0.snn.w", "stage1.ann.w", "atw0.out.w", "atw1.off.w",
                     "eds0.proj.w", "csf1.spike.w", "head.cls.w", "stage0.norm.gamma")]
         assert grad_check(fn, checked, eps=1e-4) <= 1e-3
+
+
+# The default network's parameters, in checkpoint order: name and shape.
+DEFAULT_LAYOUT = """
+stage0.ann.w 16x1x3x3
+stage0.ann.b 16
+stage0.norm.gamma 16
+stage0.norm.beta 16
+stage0.snn.w 16x1x3x3
+stage0.snn.b 16
+atw0.w_down 16x4
+atw0.w_up 4x16
+atw0.q.w 16x16x1x1
+atw0.q.b 16
+atw0.off.w 8x16x1x1
+atw0.off.b 8
+atw0.attw.w 4x16x1x1
+atw0.attw.b 4
+atw0.out.w 16x16x1x1
+atw0.out.b 16
+eds0.off.w 8x16x1x1
+eds0.off.b 8
+eds0.attw.w 4x16x1x1
+eds0.attw.b 4
+eds0.proj.w 16x16x1x1
+eds0.proj.b 16
+csf0.frame.w 16x16x1x1
+csf0.frame.b 16
+csf0.spike.w 16x16x1x1
+csf0.spike.b 16
+stage1.ann.w 32x16x3x3
+stage1.ann.b 32
+stage1.norm.gamma 32
+stage1.norm.beta 32
+stage1.snn.w 32x16x3x3
+stage1.snn.b 32
+atw1.w_down 32x8
+atw1.w_up 8x32
+atw1.q.w 32x32x1x1
+atw1.q.b 32
+atw1.off.w 8x32x1x1
+atw1.off.b 8
+atw1.attw.w 4x32x1x1
+atw1.attw.b 4
+atw1.out.w 32x32x1x1
+atw1.out.b 32
+eds1.off.w 8x32x1x1
+eds1.off.b 8
+eds1.attw.w 4x32x1x1
+eds1.attw.b 4
+eds1.proj.w 32x32x1x1
+eds1.proj.b 32
+csf1.frame.w 32x32x1x1
+csf1.frame.b 32
+csf1.spike.w 32x32x1x1
+csf1.spike.b 32
+stage2.ann.w 64x32x3x3
+stage2.ann.b 64
+stage2.norm.gamma 64
+stage2.norm.beta 64
+stage2.snn.w 64x32x3x3
+stage2.snn.b 64
+atw2.w_down 64x16
+atw2.w_up 16x64
+atw2.q.w 64x64x1x1
+atw2.q.b 64
+atw2.off.w 8x64x1x1
+atw2.off.b 8
+atw2.attw.w 4x64x1x1
+atw2.attw.b 4
+atw2.out.w 64x64x1x1
+atw2.out.b 64
+eds2.off.w 8x64x1x1
+eds2.off.b 8
+eds2.attw.w 4x64x1x1
+eds2.attw.b 4
+eds2.proj.w 64x64x1x1
+eds2.proj.b 64
+csf2.frame.w 64x64x1x1
+csf2.frame.b 64
+csf2.spike.w 64x64x1x1
+csf2.spike.b 64
+head.lateral0.w 16x16x1x1
+head.lateral0.b 16
+head.lateral1.w 16x32x1x1
+head.lateral1.b 16
+head.lateral2.w 16x64x1x1
+head.lateral2.b 16
+head.cls.w 3x16x1x1
+head.cls.b 3
+"""
+DEFAULT_CHECKPOINT_SHA256 = "724c00714a9923c0859bb0bf61a1f2579681f94f1af58383d80a30c67d4bcbc8"
+
+
+class TestDefaultLayout:
+    def test_names_shapes_and_order(self):
+        net = build(NetworkConfig())
+        expected = [(name, tuple(int(d) for d in shape.split("x")))
+                    for name, shape in map(str.split, DEFAULT_LAYOUT.strip().splitlines())]
+        assert [(k, p.shape) for k, p in net.params.items()] == expected
+        assert len(expected) == 86 and net.param_count() == 81595
+
+    def test_seed0_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "net.hess"
+        save_checkpoint(build(NetworkConfig()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CHECKPOINT_SHA256
