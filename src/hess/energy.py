@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .network import HybridNetwork, forward
-from .optim import check_shapes, prepare_batches
+from .optim import check_shapes, prepare_batches, prepare_frames
 from .tensor import count_macs, no_grad
 
 ANN_PJ_PER_MAC = 4.6
@@ -131,9 +131,12 @@ def profile(net: HybridNetwork, samples, use_events=True) -> EnergyReport:
     check_shapes(samples)
     runs = []
     for s in samples:
-        frames, voxels, _ = prepare_batches([s], net.config.bins)
+        if use_events:
+            frames, voxels, _ = prepare_batches([s], net.config.bins)
+        else:       # no grid to bin for the frame branch alone
+            frames, voxels = prepare_frames([s]), None
         with no_grad(), count_macs() as counts:
-            forward(net, frames, voxels if use_events else None)
+            forward(net, frames, voxels)
         runs.append(counts)
 
     def mean(values):

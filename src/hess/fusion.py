@@ -13,92 +13,64 @@ Three modules couple the frame (ANN) and event (SNN) branches:
   the spike stream;
 * channel-selection fusion gates each branch by a global channel score and
   sums the two gated maps.
+
+A block's parameters are a dict of Tensors keyed by checkpoint suffix, as
+the init_*_params functions build them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, charge, constant, fan_in_uniform, parameter
+from .tensor import charge, constant, fan_in_uniform, parameter
 
 
-@dataclass
-class ATWParams:
-    w_down: Tensor          # (C, C/r) bottleneck reduce
-    w_up: Tensor            # (C/r, C) bottleneck expand
-    q_w: Tensor             # (C, C, 1, 1) query projection
-    q_b: Tensor
-    off_w: Tensor           # (2K, C, 1, 1) offset head, K (dy, dx) pairs
-    off_b: Tensor
-    attw_w: Tensor          # (K, C, 1, 1) attention-weight head
-    attw_b: Tensor
-    out_w: Tensor           # (C, C, 1, 1) output projection, zero at init
-    out_b: Tensor
-
-    @property
-    def k_points(self):
-        return self.off_w.shape[0] // 2
-
-
-@dataclass
-class EDSParams:
-    off_w: Tensor           # (2K, C_snn, 1, 1) shared offset head
-    off_b: Tensor
-    attw_w: Tensor          # (K, C_snn, 1, 1)
-    attw_b: Tensor
-    proj_w: Tensor          # (C_snn, C_ann, 1, 1) frame-to-spike projection
-    proj_b: Tensor
-
-    @property
-    def k_points(self):
-        return self.off_w.shape[0] // 2
-
-
-@dataclass
-class CSFParams:
-    w: Tensor               # (C, C, 1, 1) gate convolution
-    b: Tensor
-
-
-def init_atw_params(c, reduction, k_points, rng) -> ATWParams:
+def init_atw_params(c, reduction, k_points, rng):
+    """ATW tensors keyed by checkpoint suffix: w_down (C, C/r) and w_up
+    (C/r, C) the bottleneck adaptor; q.w (C, C, 1, 1) the query
+    projection; off.w (2K, C, 1, 1) the offset head, K (dy, dx) pairs;
+    attw.w (K, C, 1, 1) the attention-weight head; out.w (C, C, 1, 1) the
+    output projection, zero at init; each .b the matching bias, zero."""
     if c % reduction:
         raise ValueError(f"channels {c} not divisible by reduction {reduction}")
     cr = c // reduction
-    return ATWParams(
-        w_down=fan_in_uniform(rng, (c, cr), c),
-        w_up=fan_in_uniform(rng, (cr, c), cr),
-        q_w=fan_in_uniform(rng, (c, c, 1, 1), c),
-        q_b=parameter(np.zeros(c)),
-        off_w=fan_in_uniform(rng, (2 * k_points, c, 1, 1), c),
-        off_b=parameter(np.zeros(2 * k_points)),
-        attw_w=fan_in_uniform(rng, (k_points, c, 1, 1), c),
-        attw_b=parameter(np.zeros(k_points)),
-        out_w=parameter(np.zeros((c, c, 1, 1))),
-        out_b=parameter(np.zeros(c)))
+    return {"w_down": fan_in_uniform(rng, (c, cr), c),
+            "w_up": fan_in_uniform(rng, (cr, c), cr),
+            "q.w": fan_in_uniform(rng, (c, c, 1, 1), c),
+            "q.b": parameter(np.zeros(c)),
+            "off.w": fan_in_uniform(rng, (2 * k_points, c, 1, 1), c),
+            "off.b": parameter(np.zeros(2 * k_points)),
+            "attw.w": fan_in_uniform(rng, (k_points, c, 1, 1), c),
+            "attw.b": parameter(np.zeros(k_points)),
+            "out.w": parameter(np.zeros((c, c, 1, 1))),
+            "out.b": parameter(np.zeros(c))}
 
 
-def init_eds_params(c_snn, c_ann, k_points, rng) -> EDSParams:
-    return EDSParams(
-        off_w=fan_in_uniform(rng, (2 * k_points, c_snn, 1, 1), c_snn),
-        off_b=parameter(np.zeros(2 * k_points)),
-        attw_w=fan_in_uniform(rng, (k_points, c_snn, 1, 1), c_snn),
-        attw_b=parameter(np.zeros(k_points)),
-        proj_w=fan_in_uniform(rng, (c_snn, c_ann, 1, 1), c_ann),
-        proj_b=parameter(np.zeros(c_snn)))
+def init_eds_params(c_snn, c_ann, k_points, rng):
+    """EDS tensors keyed by checkpoint suffix: off.w (2K, C_snn, 1, 1) the
+    shared offset head; attw.w (K, C_snn, 1, 1) the attention-weight head;
+    proj.w (C_snn, C_ann, 1, 1) the frame-to-spike projection; each .b
+    the matching bias, zero."""
+    return {"off.w": fan_in_uniform(rng, (2 * k_points, c_snn, 1, 1), c_snn),
+            "off.b": parameter(np.zeros(2 * k_points)),
+            "attw.w": fan_in_uniform(rng, (k_points, c_snn, 1, 1), c_snn),
+            "attw.b": parameter(np.zeros(k_points)),
+            "proj.w": fan_in_uniform(rng, (c_snn, c_ann, 1, 1), c_ann),
+            "proj.b": parameter(np.zeros(c_snn))}
 
 
-def init_csf_params(c, rng) -> CSFParams:
-    return CSFParams(w=fan_in_uniform(rng, (c, c, 1, 1), c), b=parameter(np.zeros(c)))
+def init_csf_params(c, rng):
+    """CSF gate tensors: w (C, C, 1, 1) the gate convolution, b its bias."""
+    return {"w": fan_in_uniform(rng, (c, c, 1, 1), c), "b": parameter(np.zeros(c))}
 
 
 # -- adaptive temporal weighting ---------------------------------------------
 
 
-def atw_temporal_weights(f_snn, params: ATWParams):
+def atw_temporal_weights(f_snn, params):
     """Per-channel convex weights over time: N*T*C*H*W -> alpha N*T*C.
 
     Spatially pools the spike tensor, scores it with the bottleneck
@@ -109,8 +81,8 @@ def atw_temporal_weights(f_snn, params: ATWParams):
     if t == 0:
         raise ValueError("temporal weighting needs at least one timestep")
     pool = f_snn.reshape((n * t, c, h, w)).mean(axis=(2, 3)).reshape((n, t, c))
-    hidden = ops.linear(pool, params.w_down).relu()
-    scores = ops.linear(hidden, params.w_up)
+    hidden = ops.linear(pool, params["w_down"]).relu()
+    scores = ops.linear(hidden, params["w_up"])
     return ops.softmax_axis(scores, axis=1)
 
 
@@ -134,7 +106,7 @@ def _base_grid(h, w, k):
     return grid
 
 
-def atw_inject(f_ann, f_snn_w, params: ATWParams):
+def atw_inject(f_ann, f_snn_w, params):
     """Deformable cross-attention from the collapsed spike map into the
     frame features, with a residual zero-initialized projection.
 
@@ -145,10 +117,10 @@ def atw_inject(f_ann, f_snn_w, params: ATWParams):
     if f_ann.shape != f_snn_w.shape:
         raise ValueError("frame and collapsed spike maps must share a shape")
     n, c, h, w = f_ann.shape
-    k = params.k_points
-    q = ops.conv2d(f_ann, params.q_w, params.q_b)
-    off = ops.conv2d(q, params.off_w, params.off_b)              # (N, 2K, H, W)
-    attw = ops.softmax_axis(ops.conv2d(q, params.attw_w, params.attw_b), axis=1)
+    k = params["attw.w"].shape[0]
+    q = ops.conv2d(f_ann, params["q.w"], params["q.b"])
+    off = ops.conv2d(q, params["off.w"], params["off.b"])        # (N, 2K, H, W)
+    attw = ops.softmax_axis(ops.conv2d(q, params["attw.w"], params["attw.b"]), axis=1)
     pts = constant(_base_grid(h, w, k)) + \
         off.reshape((n, k, 2, h, w)).transpose((0, 3, 4, 1, 2)) \
            .reshape((n, h * w * k, 2))
@@ -157,11 +129,11 @@ def atw_inject(f_ann, f_snn_w, params: ATWParams):
     mixed = (samples * wts).reshape((n, h * w, k, c)).sum(axis=2)
     charge(samples.size)                                         # the K-point mix
     attended = mixed.reshape((n, h, w, c)).transpose((0, 3, 1, 2))
-    out = ops.conv2d(attended, params.out_w, params.out_b)
+    out = ops.conv2d(attended, params["out.w"], params["out.b"])
     return f_ann + out
 
 
-def atw_apply(f_ann, f_snn, params: ATWParams):
+def atw_apply(f_ann, f_snn, params):
     """Full injector: temporal weights -> collapse -> attention."""
     alpha = atw_temporal_weights(f_snn, params)
     return atw_inject(f_ann, atw_collapse(f_snn, alpha), params)
@@ -170,7 +142,7 @@ def atw_apply(f_ann, f_snn, params: ATWParams):
 # -- event-driven sparse injection -------------------------------------------
 
 
-def eds_offsets(feats, params: EDSParams):
+def eds_offsets(feats, params):
     """The shared offset and weight heads on spike features gathered at
     reference points, T*P*C.
 
@@ -178,16 +150,16 @@ def eds_offsets(feats, params: EDSParams):
     feature-scale pixels; weights T*P*K, softmax-normalized over K.
     """
     feats = constant(feats)
-    k = params.k_points
+    k = params["attw.w"].shape[0]
     c = feats.shape[-1]
-    off = ops.linear(feats, params.off_w.reshape((2 * k, c)).transpose((1, 0)),
-                     params.off_b)
-    logits = ops.linear(feats, params.attw_w.reshape((k, c)).transpose((1, 0)),
-                        params.attw_b)
+    off = ops.linear(feats, params["off.w"].reshape((2 * k, c)).transpose((1, 0)),
+                     params["off.b"])
+    logits = ops.linear(feats, params["attw.w"].reshape((k, c)).transpose((1, 0)),
+                        params["attw.b"])
     return off, ops.softmax_axis(logits, axis=2)
 
 
-def eds_inject(f_snn, f_ann, refs, params: EDSParams):
+def eds_inject(f_snn, f_ann, refs, params):
     """Mix projected frame features into the spike stream at reference
     points only; all other locations pass through unchanged.
 
@@ -214,7 +186,7 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
         return f_snn
     sample, ys = np.divmod(ys, h)
 
-    k = params.k_points
+    k = params["attw.w"].shape[0]
     # map n*T + t of the (N*T)*C*H*W view is sample n at timestep t
     maps = f_snn.reshape((n * t, c, h, w))
     index = sample * t + np.arange(t)[:, None]                    # (T, P)
@@ -222,7 +194,7 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
     base = np.repeat(np.stack([ys, xs], axis=1).astype(np.float64), k, axis=0)
     pts = constant(base) + off.reshape((t, p * k, 2))             # (T, P*K, 2)
     s_snn = ops.bilinear_sample_many(maps, pts, np.repeat(index, k, axis=1))
-    proj = ops.conv2d(f_ann, params.proj_w, params.proj_b)
+    proj = ops.conv2d(f_ann, params["proj.w"], params["proj.b"])
     s_ann = ops.bilinear_sample_many(proj, pts, np.repeat(sample, k))  # (T, P*K, C)
     mixed = ((s_ann * s_snn).reshape((t, p, k, c)) *
              a.reshape((t, p, k, 1))).sum(axis=2)                 # (T, P, C)
@@ -234,19 +206,19 @@ def eds_inject(f_snn, f_ann, refs, params: EDSParams):
 # -- channel selection fusion -------------------------------------------------
 
 
-def csf_select(x, params: CSFParams):
+def csf_select(x, params):
     """Gate a map by the spatial average of a 1x1 conv on its sigmoid:
     s = x * AvgPool(Conv(Sigmoid(x))), broadcast per channel."""
     x = constant(x)
     n, c = x.shape[:2]
-    gate = ops.conv2d(x.sigmoid(), params.w, params.b).mean(axis=(2, 3))
+    gate = ops.conv2d(x.sigmoid(), params["w"], params["b"]).mean(axis=(2, 3))
     s = x * gate.reshape((n, c, 1, 1))
     # + 0.0 canonicalizes -0.0 so a silent branch stays bit-exact under
     # the later fusion add
     return s + 0.0
 
 
-def csf_fuse(f_ann_o, f_snn_o, params_ann: CSFParams, params_snn: CSFParams):
+def csf_fuse(f_ann_o, f_snn_o, params_ann, params_snn):
     """Sum the gated frame map and the gated time-collapsed spike map."""
     f_ann_o, f_snn_o = constant(f_ann_o), constant(f_snn_o)
     n, c, h, w = f_ann_o.shape

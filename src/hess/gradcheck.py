@@ -24,29 +24,26 @@ NETWORK_TOL = 1e-3
 def check_atw():
     g = np.random.default_rng(25)
     p = fusion.init_atw_params(4, 2, 2, g)
-    p.out_w = parameter(g.normal(size=(4, 4, 1, 1)) * 0.3)
-    p.out_b = parameter(g.normal(size=4) * 0.1)
+    p["out.w"] = parameter(g.normal(size=(4, 4, 1, 1)) * 0.3)
+    p["out.b"] = parameter(g.normal(size=4) * 0.1)
     f_ann = parameter(g.normal(size=(1, 4, 4, 4)))
     f_snn = constant((g.random((1, 3, 4, 4, 4)) > 0.5).astype(float))
     wgt = constant(g.normal(size=(1, 4, 4, 4)))
-    params = [f_ann, p.w_down, p.w_up, p.q_w, p.q_b, p.off_w, p.off_b,
-              p.attw_w, p.attw_b, p.out_w, p.out_b]
     return grad_check(lambda: (fusion.atw_apply(f_ann, f_snn, p) * wgt).sum(),
-                      params, eps=1e-6)
+                      [f_ann, *p.values()], eps=1e-6)
 
 
 def check_eds():
     g = np.random.default_rng(26)
     p = fusion.init_eds_params(3, 4, 2, g)
-    p.off_b = parameter(g.uniform(0.2, 0.4, size=4))
+    p["off.b"] = parameter(g.uniform(0.2, 0.4, size=4))
     f_snn = constant((g.random((1, 2, 3, 5, 5)) > 0.5).astype(float))
     f_ann = parameter(g.normal(size=(1, 4, 5, 5)))
     refs = ReferencePointSet(np.array([1, 3]), np.array([2, 4]), 1, 5, 5)
     wgt = constant(g.normal(size=(1, 2, 3, 5, 5)))
-    params = [f_ann, p.off_w, p.off_b, p.attw_w, p.attw_b, p.proj_w, p.proj_b]
     return grad_check(
         lambda: (fusion.eds_inject(f_snn, f_ann, refs, p) * wgt).sum(),
-        params, eps=1e-6)
+        [f_ann, *p.values()], eps=1e-6)
 
 
 def check_csf():
@@ -55,10 +52,9 @@ def check_csf():
     f_ann = parameter(g.normal(size=(1, 3, 3, 3)))
     f_snn = parameter(g.normal(size=(1, 2, 3, 3, 3)))
     wgt = constant(g.normal(size=(1, 3, 3, 3)))
-    params = [f_ann, f_snn, pa.w, pa.b, ps.w, ps.b]
     return grad_check(
         lambda: (fusion.csf_fuse(f_ann, f_snn, pa, ps) * wgt).sum(),
-        params, eps=1e-6)
+        [f_ann, f_snn, *pa.values(), *ps.values()], eps=1e-6)
 
 
 def check_lif():

@@ -49,7 +49,7 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             for i, p in enumerate(preds, lo):
-                write_pgm(p.astype(np.uint8), os.path.join(out_dir, f"pred_{i:04d}.pgm"))
+                write_pgm(p, os.path.join(out_dir, f"pred_{i:04d}.pgm"))
                 write_ppm(colorize_labels(p), os.path.join(out_dir, f"pred_{i:04d}.ppm"))
 
     accuracy, iou, miou = metrics(cm)

@@ -9,7 +9,8 @@ each scale the spike tensor is injected into the frame features, the frame
 features are injected back into the spike stream at event-anchored
 reference points, and the two branches are fused. Fused maps from every
 scale are projected to a common width, upsampled to the finest scale,
-summed and classified by a 1x1 convolution.
+summed and classified by a 1x1 convolution. Each parameter is held once,
+in ``net.blocks[block][key]``; its checkpoint name is "<block>.<key>".
 
 With no event input the spiking side is skipped entirely and, for a
 freshly built network (zero-initialized injector projections), the output
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import fusion, ops
 from .spiking import LIFConfig, lif_forward_seq
-from .tensor import Tensor, constant, cost_scope, fan_in_uniform, no_grad, parameter
+from .tensor import constant, cost_scope, fan_in_uniform, no_grad, parameter
 from .voxel import downsample_voxel, extract_reference_points, znorm
 
 CHECKPOINT_MAGIC = b"HESS"
@@ -56,6 +57,8 @@ class NetworkConfig:
                self.k_points, self.adaptor_ratio) < 1:
             raise ValueError("timesteps, bins, input_channels, num_classes, k_points "
                              "and adaptor_ratio must be >= 1")
+        if self.bins != self.timesteps:
+            raise ValueError("bins must equal timesteps (one bin per step)")
         if not self.scales:
             raise ValueError("need at least one scale")
         if any(isinstance(v, bool) or not isinstance(v, int)
@@ -106,27 +109,16 @@ def config_from_dict(cls, values, where):
 
 
 @dataclass
-class _Stage:
-    ann_w: Tensor
-    ann_b: Tensor
-    norm_gamma: Tensor
-    norm_beta: Tensor
-    snn_w: Tensor
-    snn_b: Tensor
-    stride: int
-
-
-@dataclass
 class HybridNetwork:
     config: NetworkConfig
-    stages: list = field(default_factory=list)
-    atw: list = field(default_factory=list)
-    eds: list = field(default_factory=list)
-    csf: list = field(default_factory=list)      # (frame params, spike params)
-    lateral: list = field(default_factory=list)  # (w, b) per scale
-    cls_w: Tensor = None
-    cls_b: Tensor = None
-    params: dict = field(default_factory=dict)   # name -> Tensor, declaration order
+    blocks: dict = field(default_factory=dict)   # block name -> {key: Tensor}
+
+    @property
+    def params(self):
+        """Every parameter under its checkpoint name "<block>.<key>", in
+        declaration order."""
+        return {f"{name}.{key}": p for name, block in self.blocks.items()
+                for key, p in block.items()}
 
     def param_count(self):
         return sum(p.size for p in self.params.values())
@@ -140,63 +132,41 @@ def build(config: NetworkConfig) -> HybridNetwork:
     """Deterministically initialize a network from config.seed.
 
     Conv/linear weights use uniform fan-in scaling; biases, injector
-    output projections and offset-head biases start at zero.
+    output projections and offset-head biases start at zero. Blocks are
+    stage{i}, atw{i}, eds{i}, csf{i}.frame and csf{i}.spike per scale
+    (injectors only when toggled on), then head.
     """
     rng = np.random.default_rng(config.seed)
     net = HybridNetwork(config)
-    reg = net.params
-    prev_factor = 1
+    blocks = net.blocks
     ann_cin = config.input_channels
     snn_cin = 1   # one voxel bin per timestep
-    for i, (factor, c) in enumerate(config.scales):
-        stage = _Stage(
-            ann_w=fan_in_uniform(rng, (c, ann_cin, 3, 3), ann_cin * 9),
-            ann_b=parameter(np.zeros(c)),
-            norm_gamma=parameter(np.ones(c)),
-            norm_beta=parameter(np.zeros(c)),
-            snn_w=fan_in_uniform(rng, (c, snn_cin, 3, 3), snn_cin * 9),
-            snn_b=parameter(np.zeros(c)),
-            stride=factor // prev_factor)
-        _register(reg, f"stage{i}", stage)
-        net.stages.append(stage)
+    for i, (_, c) in enumerate(config.scales):
+        blocks[f"stage{i}"] = {
+            "ann.w": fan_in_uniform(rng, (c, ann_cin, 3, 3), ann_cin * 9),
+            "ann.b": parameter(np.zeros(c)),
+            "norm.gamma": parameter(np.ones(c)),
+            "norm.beta": parameter(np.zeros(c)),
+            "snn.w": fan_in_uniform(rng, (c, snn_cin, 3, 3), snn_cin * 9),
+            "snn.b": parameter(np.zeros(c))}
         if config.atw_on:
-            p = fusion.init_atw_params(c, config.adaptor_ratio, config.k_points, rng)
-            _register(reg, f"atw{i}", p)
-            net.atw.append(p)
+            blocks[f"atw{i}"] = fusion.init_atw_params(c, config.adaptor_ratio,
+                                                       config.k_points, rng)
         if config.eds_on:
-            p = fusion.init_eds_params(c, c, config.k_points, rng)
-            _register(reg, f"eds{i}", p)
-            net.eds.append(p)
+            blocks[f"eds{i}"] = fusion.init_eds_params(c, c, config.k_points, rng)
         if config.csf_on:
-            pa = fusion.init_csf_params(c, rng)
-            ps = fusion.init_csf_params(c, rng)
-            _register(reg, f"csf{i}.frame", pa)
-            _register(reg, f"csf{i}.spike", ps)
-            net.csf.append((pa, ps))
-        prev_factor = factor
-        ann_cin = c
-        snn_cin = c
+            blocks[f"csf{i}.frame"] = fusion.init_csf_params(c, rng)
+            blocks[f"csf{i}.spike"] = fusion.init_csf_params(c, rng)
+        ann_cin = snn_cin = c
 
     c_head = config.scales[0][1]
+    head = blocks["head"] = {}
     for i, (_, c) in enumerate(config.scales):
-        w = reg[f"head.lateral{i}.w"] = fan_in_uniform(rng, (c_head, c, 1, 1), c)
-        b = reg[f"head.lateral{i}.b"] = parameter(np.zeros(c_head))
-        net.lateral.append((w, b))
-    net.cls_w = reg["head.cls.w"] = fan_in_uniform(
-        rng, (config.num_classes, c_head, 1, 1), c_head)
-    net.cls_b = reg["head.cls.b"] = parameter(np.zeros(config.num_classes))
+        head[f"lateral{i}.w"] = fan_in_uniform(rng, (c_head, c, 1, 1), c)
+        head[f"lateral{i}.b"] = parameter(np.zeros(c_head))
+    head["cls.w"] = fan_in_uniform(rng, (config.num_classes, c_head, 1, 1), c_head)
+    head["cls.b"] = parameter(np.zeros(config.num_classes))
     return net
-
-
-def _register(reg, prefix, params):
-    """Add a block's tensors in field order: field q_w becomes <prefix>.q.w;
-    the adaptor's w_down / w_up keep their names; other fields (a stage's
-    stride) are skipped."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, Tensor):
-            suffix = f.name if f.name.startswith("w_") else f.name.replace("_", ".")
-            reg[f"{prefix}.{suffix}"] = value
 
 
 def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
@@ -231,8 +201,6 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
             raise ValueError("voxel batch size must match frames")
         if raw.shape[1] != cfg.bins:
             raise ValueError(f"voxel has {raw.shape[1]} bins, config says {cfg.bins}")
-        if cfg.bins != cfg.timesteps:
-            raise ValueError("bins must equal timesteps (one bin per step)")
         if not np.isfinite(raw).all():
             raise ValueError("voxel data must be finite")
         snn_in = constant(znorm(raw)[:, :, None])    # N*T*1*H*W, one bin per step
@@ -240,50 +208,54 @@ def forward(net: HybridNetwork, frames, voxel=None, smooth=False):
                                                    scale=factor)
                           for factor, _ in cfg.scales]
 
+    blocks = net.blocks
     ann = frames
     fused_maps = []
-    for i, (stage, (factor, c)) in enumerate(zip(net.stages, cfg.scales)):
+    prev_factor = 1
+    for i, (factor, _) in enumerate(cfg.scales):
+        stage, stride = blocks[f"stage{i}"], factor // prev_factor
+        prev_factor = factor
         with cost_scope(f"stage{i}.ann"):
-            a_pre = ops.conv2d(ann, stage.ann_w, stage.ann_b, stride=stage.stride, pad=1)
-        a = ops.group_norm(a_pre, stage.norm_gamma, stage.norm_beta).relu()
+            a_pre = ops.conv2d(ann, stage["ann.w"], stage["ann.b"], stride=stride, pad=1)
+        a = ops.group_norm(a_pre, stage["norm.gamma"], stage["norm.beta"]).relu()
         if events_on:
             with cost_scope(f"stage{i}.snn", kind="snn"):
-                currents = ops.conv2d(snn_in, stage.snn_w, stage.snn_b,
-                                      stride=stage.stride, pad=1)
+                currents = ops.conv2d(snn_in, stage["snn.w"], stage["snn.b"],
+                                      stride=stride, pad=1)
             spikes = lif_forward_seq(currents, cfg.lif(), smooth=smooth)
             if cfg.atw_on:
                 with cost_scope(f"atw{i}"):
-                    a = fusion.atw_apply(a, spikes, net.atw[i])
+                    a = fusion.atw_apply(a, spikes, blocks[f"atw{i}"])
             if cfg.eds_on:
                 with cost_scope(f"eds{i}"):
-                    sn = fusion.eds_inject(spikes, a, refs_per_scale[i], net.eds[i])
+                    sn = fusion.eds_inject(spikes, a, refs_per_scale[i], blocks[f"eds{i}"])
             else:
                 sn = spikes
             if cfg.csf_on:
-                pa, ps = net.csf[i]
                 with cost_scope(f"csf{i}"):
-                    fused = fusion.csf_fuse(a, sn, pa, ps)
+                    fused = fusion.csf_fuse(a, sn, blocks[f"csf{i}.frame"],
+                                            blocks[f"csf{i}.spike"])
             else:
                 fused = a + sn.sum(axis=1)
             snn_in = sn
         elif cfg.csf_on:
             with cost_scope(f"csf{i}"):
-                fused = fusion.csf_select(a, net.csf[i][0])
+                fused = fusion.csf_select(a, blocks[f"csf{i}.frame"])
         else:
             fused = a
         ann = a
         fused_maps.append(fused)
 
     h0, w0 = fused_maps[0].shape[2:]
+    head = blocks["head"]
     acc = None
     for i, f in enumerate(fused_maps):
-        wl, bl = net.lateral[i]
         with cost_scope(f"head.lateral{i}"):
-            lat = ops.conv2d(f, wl, bl)
+            lat = ops.conv2d(f, head[f"lateral{i}.w"], head[f"lateral{i}.b"])
         up = ops.interp_resize(lat, h0, w0)
         acc = up if acc is None else acc + up
     with cost_scope("head.cls"):
-        logits = ops.conv2d(acc, net.cls_w, net.cls_b)
+        logits = ops.conv2d(acc, head["cls.w"], head["cls.b"])
     return ops.interp_resize(logits, h, w)
 
 

@@ -85,13 +85,18 @@ class AdamW:
         return {"step": self.step_count, "m": self.m, "v": self.v}
 
 
+def prepare_frames(samples):
+    """Frames (N, 1, H, W) in [0, 1], the frame part of prepare_batches."""
+    return np.stack([s.frame for s in samples])[:, None] / 255.0
+
+
 def prepare_batches(samples, bins):
     """Frames (N, 1, H, W) in [0, 1], raw voxels (N, B, H, W), each binned
     into the batch over its own events' span, and int64 labels (N, H, W).
 
     Each sample's arrays depend on that sample alone, so train, run_eval
     and profile call this on one batch at a time and hold no more."""
-    frames = np.stack([s.frame for s in samples])[:, None] / 255.0
+    frames = prepare_frames(samples)
     labels = np.stack([s.labels for s in samples]).astype(np.int64)
     voxels = np.zeros((len(samples), bins) + frames.shape[2:])
     for s, grid in zip(samples, voxels):

@@ -43,8 +43,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.width < 16 or self.height < 16:
             raise ValueError("scene geometry must be at least 16x16")
-        if self.num_classes < 2:
-            raise ValueError("need at least background plus one shape class")
+        if not 2 <= self.num_classes <= 255:   # uint8 labels; 255 is the ignore index
+            raise ValueError(f"num_classes must lie in 2..255 (background plus shape "
+                             f"classes), got {self.num_classes}")
         if self.frame_count < 1 or self.micro_steps < 1:
             raise ValueError("frame_count and micro_steps must be >= 1")
         if self.duration_us < 1:

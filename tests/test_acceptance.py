@@ -140,13 +140,13 @@ class TestAcceptance:
         f_snn = constant((g.random((1, 5, 16, 32, 32)) > 0.5).astype(float))
         f_ann = constant(g.normal(size=(1, 16, 32, 32)))
         with no_grad():
-            out = fusion.eds_inject(f_snn, f_ann, refs, net.eds[0])
+            out = fusion.eds_inject(f_snn, f_ann, refs, net.blocks["eds0"])
         assert out is f_snn
 
         # the temporal-weighting injector leaves frame features unchanged
         zero_spikes = constant(np.zeros((1, 5, 16, 32, 32)))
         with no_grad():
-            injected = fusion.atw_apply(f_ann, zero_spikes, net.atw[0])
+            injected = fusion.atw_apply(f_ann, zero_spikes, net.blocks["atw0"])
         assert injected.data.tobytes() == f_ann.data.tobytes()
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
@@ -165,9 +165,9 @@ class TestAcceptance:
                 worst = max(worst, float(np.max(np.abs(alpha.data.sum(axis=1) - 1))))
             for i in range(333):
                 x = constant(g.normal(size=(1, 4, 5, 5)))
-                q = ops.conv2d(x, atw_p.q_w, atw_p.q_b)
+                q = ops.conv2d(x, atw_p["q.w"], atw_p["q.b"])
                 attw = ops.softmax_axis(
-                    ops.conv2d(q, atw_p.attw_w, atw_p.attw_b), axis=1)
+                    ops.conv2d(q, atw_p["attw.w"], atw_p["attw.b"]), axis=1)
                 worst = max(worst, float(np.max(np.abs(attw.data.sum(axis=1) - 1))))
             for i in range(333):
                 # 2 timesteps x 16 reference points x 4 channels

@@ -17,6 +17,7 @@ from hess.ops import cross_entropy
 from hess.optim import AdamW, TrainConfig, lr_at, prepare_batches, train
 from hess.synthetic import SynthConfig, make_samples
 from hess.tensor import using_dtype
+from hess.voxel import voxelize
 
 NET = dict(scales=((2, 4), (4, 8)), bins=2, timesteps=2, k_points=2,
            adaptor_ratio=2, num_classes=3)
@@ -100,6 +101,21 @@ def test_profile_prepares_one_sample_at_a_time(prepared):
     samples = split(n=3)
     profile(net_for(np.float64), samples)
     assert prepared == [[id(s)] for s in samples]
+
+
+@pytest.mark.parametrize("use_events", [True, False])
+def test_profile_voxelizes_only_when_events_run(monkeypatch, use_events):
+    # the frames-only profile used to voxelize every sample and drop the grid
+    samples = split(n=3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return voxelize(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "voxelize", counting)
+    profile(net_for(np.float64), samples, use_events)
+    assert [id(e) for e in calls] == ([id(s.events) for s in samples] if use_events else [])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -58,6 +58,15 @@ class TestCLI:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", ["256", "300"])
+    def test_gen_rejects_more_classes_than_uint8_labels_hold(self, tmp_path, capsys, classes):
+        out = tmp_path / "data"
+        assert main(["gen-synthetic", "--out-dir", str(out), "--classes", classes,
+                     "--shapes", "260", "--width", "16", "--height", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_classes must lie in 2..255" in err
+        assert not out.exists()
+
     def test_voxelize(self, workspace, tmp_path):
         src = workspace / "train" / "events_0001.evt1"
         out = tmp_path / "grid.npy"
@@ -181,6 +190,15 @@ class TestCLI:
                      "--out", str(tmp_path / "m.hess")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key} must be finite and >" in err
+        assert not (tmp_path / "m.hess").exists()
+
+    def test_train_rejects_bins_unequal_timesteps(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"network": {"bins": 2}}))     # timesteps stays 5
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bins must equal timesteps" in err
         assert not (tmp_path / "m.hess").exists()
 
     @pytest.mark.parametrize("where", ["param", "m"])

@@ -248,6 +248,18 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="min_size"):
             SynthConfig(min_size=sizes[0], max_size=sizes[1])
 
+    @pytest.mark.parametrize("classes", [1, 256, 300])
+    def test_class_count_outside_the_uint8_labels_rejected(self, classes):
+        # labels are uint8 and 255 is the ignore index: 300 classes overflowed
+        # while painting, and with 256 class 255 was silently ignored
+        with pytest.raises(ValueError, match=rf"^num_classes must lie in 2\.\.255 .*got {classes}$"):
+            SynthConfig(num_classes=classes)
+
+    def test_largest_class_count_paints(self):
+        cfg = SynthConfig(width=16, height=16, num_classes=255, num_shapes=60, frame_count=2)
+        _, frames, labels, _ = gen_synthetic(0, cfg)
+        assert all(l.dtype == np.uint8 and l.max() <= 254 for l in labels)
+
     def test_size_bounds_accepted(self):
         for lo, hi in ((1, 50), (2, 19), (7, 7)):
             assert SynthConfig(min_size=lo, max_size=hi).min_size == lo

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hess import fusion, ops
-from hess.fusion import (ATWParams, CSFParams, EDSParams, atw_apply,
-                         atw_collapse, atw_inject, atw_temporal_weights,
+from hess.fusion import (atw_apply, atw_collapse, atw_inject, atw_temporal_weights,
                          csf_fuse, csf_select, eds_inject, eds_offsets,
                          init_atw_params, init_csf_params, init_eds_params)
 from hess.tensor import Tensor, constant, grad_check, no_grad, parameter, using_dtype
@@ -59,8 +58,8 @@ class TestATWWeights:
                 pool[0, ti, ci] = f[0, ti, ci].mean()
         scores = np.zeros((1, t, c))
         for ti in range(t):
-            hidden = np.maximum(pool[0, ti] @ p.w_down.data, 0.0)
-            scores[0, ti] = hidden @ p.w_up.data
+            hidden = np.maximum(pool[0, ti] @ p["w_down"].data, 0.0)
+            scores[0, ti] = hidden @ p["w_up"].data
         ref = np.zeros_like(scores)
         for ci in range(c):
             e = np.exp(scores[0, :, ci] - scores[0, :, ci].max())
@@ -118,15 +117,15 @@ class TestATWInject:
         g = rng(9)
         p = init_atw_params(4, 2, 3, g)
         f_ann = constant(g.normal(size=(2, 4, 4, 4)))
-        q = ops.conv2d(f_ann, p.q_w, p.q_b)
-        attw = ops.softmax_axis(ops.conv2d(q, p.attw_w, p.attw_b), axis=1)
+        q = ops.conv2d(f_ann, p["q.w"], p["q.b"])
+        attw = ops.softmax_axis(ops.conv2d(q, p["attw.w"], p["attw.b"]), axis=1)
         assert np.all(np.abs(attw.data.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_nonzero_projection_matches_loop_oracle(self):
         g = rng(10)
         p = init_atw_params(2, 2, 2, g)
-        p.out_w = parameter(g.normal(size=(2, 2, 1, 1)) * 0.5)
-        p.out_b = parameter(g.normal(size=2) * 0.1)
+        p["out.w"] = parameter(g.normal(size=(2, 2, 1, 1)) * 0.5)
+        p["out.b"] = parameter(g.normal(size=2) * 0.1)
         f_ann = g.normal(size=(1, 2, 3, 3))
         f_w = g.normal(size=(1, 2, 3, 3))
         out = atw_inject(constant(f_ann), constant(f_w), p)
@@ -135,10 +134,10 @@ class TestATWInject:
         k = 2
         q = np.zeros((2, 3, 3))
         for c in range(2):
-            q[c] = sum(p.q_w.data[c, ci, 0, 0] * f_ann[0, ci] for ci in range(2))
-        off = np.stack([sum(p.off_w.data[o, ci, 0, 0] * q[ci] for ci in range(2))
+            q[c] = sum(p["q.w"].data[c, ci, 0, 0] * f_ann[0, ci] for ci in range(2))
+        off = np.stack([sum(p["off.w"].data[o, ci, 0, 0] * q[ci] for ci in range(2))
                         for o in range(2 * k)])
-        aw = np.stack([sum(p.attw_w.data[o, ci, 0, 0] * q[ci] for ci in range(2))
+        aw = np.stack([sum(p["attw.w"].data[o, ci, 0, 0] * q[ci] for ci in range(2))
                        for o in range(k)])
         attended = np.zeros((2, 3, 3))
         for y in range(3):
@@ -154,8 +153,8 @@ class TestATWInject:
                 attended[:, y, x] = val
         ref = f_ann[0].copy()
         for c in range(2):
-            ref[c] += sum(p.out_w.data[c, ci, 0, 0] * attended[ci]
-                          for ci in range(2)) + p.out_b.data[c]
+            ref[c] += sum(p["out.w"].data[c, ci, 0, 0] * attended[ci]
+                          for ci in range(2)) + p["out.b"].data[c]
         assert np.max(np.abs(out.data[0] - ref)) <= 1e-12
 
 
@@ -196,8 +195,8 @@ class TestEDSOffsets:
         for t in range(2):
             for i in range(5):
                 feat = f[t, i]
-                ref_off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
-                logits = p.attw_w.data[:, :, 0, 0] @ feat + p.attw_b.data
+                ref_off = p["off.w"].data[:, :, 0, 0] @ feat + p["off.b"].data
+                logits = p["attw.w"].data[:, :, 0, 0] @ feat + p["attw.b"].data
                 e = np.exp(logits - logits.max())
                 assert np.max(np.abs(off.data[t, i] - ref_off)) <= 1e-12
                 assert np.max(np.abs(attw.data[t, i] - e / e.sum())) <= 1e-12
@@ -229,9 +228,9 @@ class TestEDSInject:
         # reference point is elementwise proj(F_ann)[r] * F_snn[t, r]
         g = rng(17)
         p = init_eds_params(2, 2, 1, g)
-        p.off_w = parameter(np.zeros((2, 2, 1, 1)))
-        p.proj_w = parameter(np.eye(2).reshape(2, 2, 1, 1))
-        p.proj_b = parameter(np.zeros(2))
+        p["off.w"] = parameter(np.zeros((2, 2, 1, 1)))
+        p["proj.w"] = parameter(np.eye(2).reshape(2, 2, 1, 1))
+        p["proj.b"] = parameter(np.zeros(2))
         f_snn = g.random((1, 1, 2, 4, 4)).round()
         f_ann = g.normal(size=(1, 2, 4, 4))
         refs = make_refs([0, 2], [1, 3], 4, 4)
@@ -247,13 +246,12 @@ class TestEDSInject:
         p = init_eds_params(3, 3, k, g)
         # duplicate every sampling point: softmax over duplicated logits
         # halves each weight, so the convex mix is unchanged
-        off2 = np.tile(p.off_w.data.reshape(k, 2, 3, 1, 1), (2, 1, 1, 1, 1))
-        p2 = EDSParams(
-            off_w=parameter(off2.reshape(4 * k, 3, 1, 1)),
-            off_b=parameter(np.tile(p.off_b.data.reshape(k, 2), (2, 1)).reshape(-1)),
-            attw_w=parameter(np.tile(p.attw_w.data, (2, 1, 1, 1))),
-            attw_b=parameter(np.tile(p.attw_b.data, 2)),
-            proj_w=p.proj_w, proj_b=p.proj_b)
+        off2 = np.tile(p["off.w"].data.reshape(k, 2, 3, 1, 1), (2, 1, 1, 1, 1))
+        p2 = {"off.w": parameter(off2.reshape(4 * k, 3, 1, 1)),
+              "off.b": parameter(np.tile(p["off.b"].data.reshape(k, 2), (2, 1)).reshape(-1)),
+              "attw.w": parameter(np.tile(p["attw.w"].data, (2, 1, 1, 1))),
+              "attw.b": parameter(np.tile(p["attw.b"].data, 2)),
+              "proj.w": p["proj.w"], "proj.b": p["proj.b"]}
         f_snn = constant((g.random((1, 2, 3, 5, 5)) > 0.5).astype(float))
         f_ann = constant(g.normal(size=(1, 3, 5, 5)))
         refs = make_refs([0, 2, 4], [1, 2, 3], 5, 5)
@@ -265,8 +263,8 @@ class TestEDSInject:
         g = rng(29)
         n, t, c, c_ann, k, h, w = 2, 2, 3, 2, 2, 5, 4
         p = init_eds_params(c, c_ann, k, g)
-        p.off_b = parameter(g.uniform(-1.5, 1.5, size=2 * k))
-        p.proj_b = parameter(g.normal(size=c) * 0.1)
+        p["off.b"] = parameter(g.uniform(-1.5, 1.5, size=2 * k))
+        p["proj.b"] = parameter(g.normal(size=c) * 0.1)
         f_snn = g.random((n, t, c, h, w))
         f_ann = g.normal(size=(n, c_ann, h, w))
         points = [([0, 4, 2], [3, 0, 1]), ([1], [2])]
@@ -275,13 +273,13 @@ class TestEDSInject:
         # independent loop re-derivation, one sample and point at a time
         ref = f_snn.copy()
         for i in range(n):
-            proj = np.einsum("oc,chw->ohw", p.proj_w.data[:, :, 0, 0], f_ann[i]) \
-                + p.proj_b.data[:, None, None]
+            proj = np.einsum("oc,chw->ohw", p["proj.w"].data[:, :, 0, 0], f_ann[i]) \
+                + p["proj.b"].data[:, None, None]
             for y, x in zip(*points[i]):
                 for ti in range(t):
                     feat = f_snn[i, ti, :, y, x]
-                    off = p.off_w.data[:, :, 0, 0] @ feat + p.off_b.data
-                    logits = p.attw_w.data[:, :, 0, 0] @ feat + p.attw_b.data
+                    off = p["off.w"].data[:, :, 0, 0] @ feat + p["off.b"].data
+                    logits = p["attw.w"].data[:, :, 0, 0] @ feat + p["attw.b"].data
                     a = np.exp(logits - logits.max())
                     a /= a.sum()
                     for kk in range(k):
@@ -300,7 +298,7 @@ class TestEDSInject:
         points = [([0, 2, 5, 3], [1, 4, 0, 3]), ([], []), ([5, 1], [4, 0])]
         with using_dtype(dtype):
             p = init_eds_params(3, 4, 2, g)
-            p.off_b = parameter(g.uniform(-1.5, 1.5, size=4))
+            p["off.b"] = parameter(g.uniform(-1.5, 1.5, size=4))
             batch = eds_inject(constant(f_snn), constant(f_ann),
                                stacked_refs(points, 6, 5), p).data
             alone = [eds_inject(constant(f_snn[i:i + 1]), constant(f_ann[i:i + 1]),
@@ -326,8 +324,7 @@ class TestCSF:
 
     def test_identity_conv_constant_input(self):
         c_val = 0.7
-        p = CSFParams(w=parameter(np.eye(3).reshape(3, 3, 1, 1)),
-                      b=parameter(np.zeros(3)))
+        p = {"w": parameter(np.eye(3).reshape(3, 3, 1, 1)), "b": parameter(np.zeros(3))}
         x = constant(np.full((1, 3, 5, 5), c_val))
         out = csf_select(x, p)
         assert np.allclose(out.data, c_val * sigmoid(c_val), atol=1e-14)
@@ -337,7 +334,7 @@ class TestCSF:
         p = init_csf_params(2, g)
         x = g.normal(size=(1, 2, 3, 3))
         with no_grad():
-            gate = ops.conv2d(constant(x).sigmoid(), p.w, p.b).mean(axis=(2, 3)).data
+            gate = ops.conv2d(constant(x).sigmoid(), p["w"], p["b"]).mean(axis=(2, 3)).data
         s1 = x * gate[:, :, None, None]
         s2 = (2 * x) * gate[:, :, None, None]
         assert np.allclose(s2, 2 * s1)
@@ -370,8 +367,8 @@ class TestCSF:
             sx = sigmoid(x)
             for n in range(x.shape[0]):
                 for co in range(x.shape[1]):
-                    gmap[n, co] = sum(p.w.data[co, ci, 0, 0] * sx[n, ci]
-                                      for ci in range(x.shape[1])) + p.b.data[co]
+                    gmap[n, co] = sum(p["w"].data[co, ci, 0, 0] * sx[n, ci]
+                                      for ci in range(x.shape[1])) + p["b"].data[co]
             gate = gmap.mean(axis=(2, 3))
             return x * gate[:, :, None, None]
 
@@ -384,13 +381,13 @@ class TestFusionGradients:
         g = rng(25)
         p = init_atw_params(4, 2, 2, g)
         # exercise a nonzero output projection too
-        p.out_w = parameter(g.normal(size=(4, 4, 1, 1)) * 0.3)
-        p.out_b = parameter(g.normal(size=4) * 0.1)
+        p["out.w"] = parameter(g.normal(size=(4, 4, 1, 1)) * 0.3)
+        p["out.b"] = parameter(g.normal(size=4) * 0.1)
         f_ann = parameter(g.normal(size=(1, 4, 4, 4)))
         f_snn = constant((g.random((1, 3, 4, 4, 4)) > 0.5).astype(float))
         wgt = constant(g.normal(size=(1, 4, 4, 4)))
-        params = [f_ann, p.w_down, p.w_up, p.q_w, p.q_b, p.off_w, p.off_b,
-                  p.attw_w, p.attw_b, p.out_w, p.out_b]
+        params = [f_ann, p["w_down"], p["w_up"], p["q.w"], p["q.b"], p["off.w"],
+                  p["off.b"], p["attw.w"], p["attw.b"], p["out.w"], p["out.b"]]
 
         err = grad_check(lambda: (atw_apply(f_ann, f_snn, p) * wgt).sum(),
                          params, eps=1e-6)
@@ -401,12 +398,13 @@ class TestFusionGradients:
         p = init_eds_params(3, 4, 2, g)
         # nonzero offsets so position gradients are exercised; nudge off
         # the integer lattice to stay clear of interpolation kinks
-        p.off_b = parameter(g.uniform(0.2, 0.4, size=4))
+        p["off.b"] = parameter(g.uniform(0.2, 0.4, size=4))
         f_snn = constant((g.random((1, 2, 3, 5, 5)) > 0.5).astype(float))
         f_ann = parameter(g.normal(size=(1, 4, 5, 5)))
         refs = make_refs([1, 3], [2, 4], 5, 5)
         wgt = constant(g.normal(size=(1, 2, 3, 5, 5)))
-        params = [f_ann, p.off_w, p.off_b, p.attw_w, p.attw_b, p.proj_w, p.proj_b]
+        params = [f_ann, p["off.w"], p["off.b"], p["attw.w"], p["attw.b"], p["proj.w"],
+                  p["proj.b"]]
 
         err = grad_check(lambda: (eds_inject(f_snn, f_ann, refs, p) * wgt).sum(),
                          params, eps=1e-6)
@@ -418,7 +416,7 @@ class TestFusionGradients:
         f_ann = parameter(g.normal(size=(1, 3, 3, 3)))
         f_snn = parameter(g.normal(size=(1, 2, 3, 3, 3)))
         wgt = constant(g.normal(size=(1, 3, 3, 3)))
-        params = [f_ann, f_snn, pa.w, pa.b, ps.w, ps.b]
+        params = [f_ann, f_snn, pa["w"], pa["b"], ps["w"], ps["b"]]
 
         err = grad_check(lambda: (csf_fuse(f_ann, f_snn, pa, ps) * wgt).sum(),
                          params, eps=1e-6)

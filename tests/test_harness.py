@@ -49,6 +49,14 @@ class TestRunEval:
             assert np.array_equal(read_pgm(tmp_path / "img" / f"pred_{i:04d}.pgm"),
                                   preds[i].astype(np.uint8))
 
+    def test_class_id_above_255_is_not_wrapped_into_the_pgm(self, tmp_path):
+        # class 299 wins everywhere; a uint8 cast used to write it as 43
+        net = build(NetworkConfig(seed=3, **dict(NET, num_classes=300)))
+        net.blocks["head"]["cls.b"].data[299] = 1e3
+        with pytest.raises(ValueError, match="PGM values must fit in 8 bits"):
+            run_eval(net, tiny_data(4, n=1), out_dir=tmp_path / "img")
+        assert not (tmp_path / "img" / "pred_0000.pgm").exists()
+
     def test_perfectly_labeled_sample(self):
         # a constant-class scene the net cannot miss after forcing its
         # prediction: compare against ground truth equal to prediction

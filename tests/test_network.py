@@ -87,12 +87,18 @@ class TestBuild:
         with pytest.raises(ValueError, match=rf"^where: {key} must be finite and > "):
             config_from_dict(NetworkConfig, {key: value}, "where")
 
+    @pytest.mark.parametrize("values", [{"bins": 4}, {"bins": 3, "timesteps": 2}])
+    def test_bins_unequal_timesteps_rejected_when_built(self, values):
+        # such a config used to build and train up to its first forward with events
+        with pytest.raises(ValueError, match=r"^where: bins must equal timesteps"):
+            config_from_dict(NetworkConfig, values, "where")
+
     def test_zero_initialized_injection_heads(self):
         net = small_net()
-        for i in range(len(net.stages)):
-            assert np.all(net.params[f"atw{i}.out.w"].data == 0.0)
-            assert np.all(net.params[f"atw{i}.off.b"].data == 0.0)
-            assert np.all(net.params[f"eds{i}.off.b"].data == 0.0)
+        for i in range(len(net.config.scales)):
+            assert np.all(net.blocks[f"atw{i}"]["out.w"].data == 0.0)
+            assert np.all(net.blocks[f"atw{i}"]["off.b"].data == 0.0)
+            assert np.all(net.blocks[f"eds{i}"]["off.b"].data == 0.0)
 
 
 class TestForward:
@@ -386,6 +392,15 @@ class TestCheckpoint:
         text = json.dumps(cfg, sort_keys=True).encode()   # NaN, Infinity
         p.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + cfg_len:])
         with pytest.raises(ValueError, match=f"net.hess: config: {key} must be finite"):
+            load_checkpoint(p)
+
+    def test_bins_unequal_timesteps_in_config_raises_value_error(self, tmp_path):
+        p = tmp_path / "net.hess"
+        save_checkpoint(small_net(18), p)
+        data = p.read_bytes()
+        assert data.count(b'"bins": 3') == 1
+        p.write_bytes(data.replace(b'"bins": 3', b'"bins": 4'))
+        with pytest.raises(ValueError, match="net.hess: config: bins must equal timesteps"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("where", ["param", "m", "v"])
