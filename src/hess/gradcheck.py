@@ -67,7 +67,7 @@ def check_lif():
         [x, w], eps=1e-6)
 
 
-def check_network(h=16, w=16):
+def check_network():
     net = build(NetworkConfig(scales=((2, 4), (4, 8)), bins=2, timesteps=2,
                               k_points=2, adaptor_ratio=2, num_classes=3,
                               seed=31, v_threshold=1.0 + np.pi / 1000))
@@ -75,9 +75,9 @@ def check_network(h=16, w=16):
     for p in net.params.values():
         p.data += pg.uniform(-0.05, 0.05, size=p.data.shape)
     g = np.random.default_rng(32)
-    frames = g.random((1, 1, h, w))
-    voxel = g.normal(size=(1, 2, h, w)) * (g.random((1, 2, h, w)) > 0.75)
-    labels = g.integers(0, 3, size=(1, h, w))
+    frames = g.random((1, 1, 16, 16))
+    voxel = g.normal(size=(1, 2, 16, 16)) * (g.random((1, 2, 16, 16)) > 0.75)
+    labels = g.integers(0, 3, size=(1, 16, 16))
 
     def fn():
         return cross_entropy(forward(net, frames, voxel, smooth=True), labels)

@@ -28,8 +28,7 @@ ABLATION_ROWS = (
 )
 
 
-def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
-             ignore_index=255):
+def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8):
     """Aggregate one confusion matrix over the dataset; each batch_size
     slice is prepared, predicted, scored and written before the next.
 
@@ -45,7 +44,7 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
         frames, voxels, labels = prepare_batches(samples[lo:lo + batch_size],
                                                  net.config.bins)
         preds = predict(net, frames, voxels)
-        cm += confusion(preds, labels, num_classes, ignore_index)
+        cm += confusion(preds, labels, num_classes)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             for i, p in enumerate(preds, lo):
@@ -66,10 +65,12 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8,
 
 
 def _sweep(base_net_cfg, train_cfg, train_samples, test_samples, variants,
-           extra, verbose):
+           extra):
     """Build, train and evaluate one model per (row label fields, config
     changes) variant; a row is the label fields, accuracy, miou and
     extra(net). Seeds are shared across rows, so reruns are deterministic."""
+    if not variants:
+        raise ValueError("nothing to sweep: the list of variants is empty")
     results = []
     for label, changes in variants:
         net = build(dataclasses.replace(base_net_cfg, **changes))
@@ -77,23 +78,20 @@ def _sweep(base_net_cfg, train_cfg, train_samples, test_samples, variants,
         report = run_eval(net, test_samples)
         results.append({**label, "accuracy": report["accuracy"],
                         "miou": report["miou"], **extra(net)})
-        if verbose:
-            print(format_table(results))
     return results
 
 
 def ablation(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
-             train_samples, test_samples, rows=ABLATION_ROWS, verbose=False):
+             train_samples, test_samples, rows=ABLATION_ROWS):
     """One model per module-toggle combination; rows are dicts (name,
     toggles, accuracy, miou, params)."""
     return _sweep(base_net_cfg, train_cfg, train_samples, test_samples,
                   [({"name": name, **toggles}, toggles) for name, toggles in rows],
-                  lambda net: {"params": net.param_count()}, verbose)
+                  lambda net: {"params": net.param_count()})
 
 
 def timestep_sweep(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
-                   train_samples, test_samples, t_list=(1, 3, 5, 7),
-                   verbose=False):
+                   train_samples, test_samples, t_list=(1, 3, 5, 7)):
     """One model per timestep count, the voxel re-binned so B = T; rows are
     dicts (timesteps, accuracy, miou, energy_mj). The whole list is checked
     before any model trains."""
@@ -101,14 +99,11 @@ def timestep_sweep(base_net_cfg: NetworkConfig, train_cfg: TrainConfig,
         raise ValueError("timesteps must be >= 1")
     return _sweep(base_net_cfg, train_cfg, train_samples, test_samples,
                   [({"timesteps": t}, dict(bins=t, timesteps=t)) for t in t_list],
-                  lambda net: {"energy_mj": profile(net, test_samples).e_total_mj},
-                  verbose)
+                  lambda net: {"energy_mj": profile(net, test_samples).e_total_mj})
 
 
 def format_table(rows):
-    """Aligned plain-text rendering of a list of uniform dicts."""
-    if not rows:
-        return "(empty)"
+    """Aligned plain-text rendering of a non-empty list of uniform dicts."""
     cols = list(rows[0])
     rendered = [[_fmt(r[c]) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in rendered))

@@ -1,19 +1,22 @@
 """Segmentation metrics: the confusion counts, pixel accuracy, per-class
-IoU and mIoU (classes with zero union are excluded from the mean)."""
+IoU and mIoU (classes with zero union are excluded from the mean), and
+IGNORE_INDEX, the label that neither they nor the loss score."""
 
 from __future__ import annotations
 
 import numpy as np
 
+IGNORE_INDEX = 255
 
-def confusion(pred, gt, num_classes, ignore_index=255):
+
+def confusion(pred, gt, num_classes):
     """(K, K) int64 counts of (ground truth, prediction) pairs, skipping
     ignored pixels; counts over several batches add elementwise."""
     pred = np.asarray(pred).reshape(-1)
     gt = np.asarray(gt).reshape(-1)
     if pred.shape != gt.shape:
         raise ValueError("prediction and ground truth sizes differ")
-    keep = gt != ignore_index
+    keep = gt != IGNORE_INDEX
     pred, gt = pred[keep], gt[keep]
     for name, arr in (("ground-truth", gt), ("prediction", pred)):
         bad = (arr < 0) | (arr >= num_classes)

@@ -8,20 +8,8 @@ import functools
 
 import numpy as np
 
+from .metrics import IGNORE_INDEX
 from .tensor import Tensor, charge, constant, record_op, _single
-
-
-def _scatter_add_rows(target, rows, vals):
-    """target[rows[i], :] += vals[i, :] with repeats, via one bincount.
-
-    Much faster than np.add.at, which lacks a fast inner loop for
-    float32. target is (R, C), rows (P,) int64, vals (P, C).
-    """
-    r, c = target.shape
-    flat = rows[:, None] * c + np.arange(c, dtype=np.int64)[None, :]
-    acc = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=r * c)
-    target += acc.reshape(r, c).astype(target.dtype, copy=False)
-    return target
 
 
 def _im2col(xp, kh, kw, stride, oh, ow):
@@ -50,7 +38,7 @@ def conv2d(x, w, b, stride=1, pad=0):
     Kernel sides must be odd. A 5-D N*T*Cin*H*W input is T timesteps
     sharing the kernel (the spiking stages): one call over the N*T maps
     gives N*T*Cout*OH*OW, bit for bit what T calls on the timesteps give,
-    and charges the MACs once per timestep.
+    and charges the MACs of all T steps at once.
     """
     x, w, b = constant(x), constant(w), constant(b)
     if x.ndim not in (4, 5) or w.ndim != 4:
@@ -82,9 +70,7 @@ def conv2d(x, w, b, stride=1, pad=0):
             else _im2col(xp, kh, kw, stride, oh, ow))
     wmat = w.data.reshape(cout, -1)                       # (Cout, Cin*Kh*Kw)
     y = np.matmul(wmat, cols) + b.data[:, None]           # (M, Cout, L)
-    x_t = x.data.reshape(-1, steps, cin, h, ww)
-    for t in range(steps):
-        charge(y.size // steps * cin * kh * kw, x_t[:, t])
+    charge(y.size * cin * kh * kw, x.data)
     out = Tensor(y.reshape(x.shape[:-3] + (cout, oh, ow)))
 
     def backward(g):
@@ -272,59 +258,52 @@ def bilinear_sample_many(maps, points, index=None):
 
 
 def _points(maps_shape, iy, ix, index, shape):
-    """Map and texel numbers, flattened, of integer points (iy, ix) on the
-    maps that index names, all broadcast to ``shape``."""
+    """Map and texel numbers, flattened, of the distinct integer points
+    (iy, ix) on the maps that index names, all broadcast to ``shape``."""
     m, _, h, w = maps_shape
     index = _map_index(m, index, shape)
     iy, ix = (np.broadcast_to(np.asarray(v, dtype=np.int64), shape) for v in (iy, ix))
     if np.any((iy < 0) | (iy >= h) | (ix < 0) | (ix >= w)):
         raise ValueError("point position outside the map")
-    return index.ravel(), (iy * w + ix).ravel()
+    mi, pos = index.ravel(), (iy * w + ix).ravel()
+    seen = np.zeros(m * h * w, dtype=bool)
+    seen[mi * (h * w) + pos] = True
+    if np.count_nonzero(seen) != mi.size:
+        raise ValueError("repeated point: each (map, texel) may appear once")
+    return mi, pos
 
 
-def _texel_sums(mi, pos, vals, hw):
-    """(map, texel, float64 sum of the vals rows) of each distinct point;
-    repeated points are summed in point order."""
-    uniq, inv = np.unique(mi * hw + pos, return_inverse=True)
-    sums = _scatter_add_rows(np.zeros((uniq.size, vals.shape[1])), inv, vals)
-    return (*np.divmod(uniq, hw), sums)
-
-
-def gather_pixels_many(maps, iy, ix, index=None):
-    """Read maps (M*C*H*W) at integer points (iy, ix), giving R*P*C.
-
-    index (integers broadcastable with iy and ix to R*P) names the map each
-    point reads; by default point row r reads map r (R = M, positions
-    shared by all maps).
-    """
+def gather_pixels_many(maps, iy, ix, index):
+    """Read maps (M*C*H*W) at distinct integer points (iy, ix), giving
+    R*P*C; index (integers broadcastable with iy and ix to R*P) names the
+    map each point reads."""
     maps = constant(maps)
     m, c, h, w = maps.shape
-    shape = np.broadcast_shapes((m, 1) if index is None else np.shape(index),
-                                np.shape(iy), np.shape(ix))
+    shape = np.broadcast_shapes(np.shape(index), np.shape(iy), np.shape(ix))
     mi, pos = _points(maps.shape, iy, ix, index, shape)
     out = Tensor(maps.data.reshape(m, c, h * w)[mi, :, pos].reshape(*shape, c))
 
     def backward(g):
-        umi, upos, acc = _texel_sums(mi, pos, g.reshape(-1, c), h * w)
         dmaps = np.zeros((m, c, h * w), dtype=g.dtype)
-        dmaps[umi, :, upos] = acc
+        dmaps[mi, :, pos] += g.reshape(-1, c)     # on zeros: -0.0 becomes +0.0
         return (dmaps.reshape(maps.shape),)
 
     return record_op(out, [maps], backward)
 
 
-def scatter_points_many(base, updates, iy, ix, index=None):
-    """base (M*C*H*W) plus updates (R*P*C) added at integer points (iy, ix)
-    of the maps that index names (as in gather_pixels_many). Only the
-    touched texels are computed; repeated points accumulate."""
+def scatter_points_many(base, updates, iy, ix, index):
+    """base (M*C*H*W) plus updates (R*P*C) added at distinct integer points
+    (iy, ix) of the maps that index names (as in gather_pixels_many). Only
+    the touched texels are computed."""
     base, updates = constant(base), constant(updates)
     m, c, h, w = base.shape
     if updates.ndim != 3 or updates.shape[2] != c:
         raise ValueError("scatter_points_many expects R*P*C updates matching the maps")
     mi, pos = _points(base.shape, iy, ix, index, updates.shape[:2])
-    umi, upos, acc = _texel_sums(mi, pos, updates.data.reshape(-1, c), h * w)
     out_data = base.data.copy()
-    out_data.reshape(m, c, h * w)[umi, :, upos] += acc.astype(out_data.dtype)
+    # + 0.0 turns -0.0 into +0.0, as a sum from zero would
+    out_data.reshape(m, c, h * w)[mi, :, pos] += (
+        updates.data.reshape(-1, c) + 0.0).astype(out_data.dtype, copy=False)
     out = Tensor(out_data)
 
     def backward(g):
@@ -371,31 +350,31 @@ def interp_resize(x, out_h, out_w):
     return record_op(out, [x], backward)
 
 
-def group_norm(x, gamma, beta, eps=1e-5):
+def group_norm(x, gamma, beta):
     """Single-group normalization over (C, H, W) per sample, then a
     per-channel affine. Deterministic at batch size 1."""
     x, gamma, beta = constant(x), constant(gamma), constant(beta)
     m = x.mean(axis=(1, 2, 3), keepdims=True)
     d = x - m
     var = (d * d).mean(axis=(1, 2, 3), keepdims=True)
-    inv = (var + eps) ** -0.5
+    inv = (var + 1e-5) ** -0.5
     xhat = d * inv
     g = gamma.reshape((1, -1, 1, 1))
     b = beta.reshape((1, -1, 1, 1))
     return xhat * g + b
 
 
-def cross_entropy(logits, labels, ignore_index=255):
+def cross_entropy(logits, labels):
     """Mean per-pixel softmax cross-entropy over non-ignored pixels.
 
-    logits: N*K*H*W, labels: N*H*W integer class ids (or ignore_index).
+    logits: N*K*H*W, labels: N*H*W integer class ids (or IGNORE_INDEX).
     """
     logits = constant(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, k, h, w = logits.shape
     if labels.shape != (n, h, w):
         raise ValueError("labels must be N*H*W")
-    mask = labels != ignore_index
+    mask = labels != IGNORE_INDEX
     if not mask.any():
         raise ValueError("all pixels ignored; loss undefined")
     if np.any(mask & ((labels < 0) | (labels >= k))):

@@ -22,7 +22,6 @@ class TrainConfig:
     poly_power: float = 0.9
     batch_size: int = 4
     seed: int = 0
-    ignore_index: int = 255
     augment_flip: bool = False   # random horizontal flip per visit
 
     def __post_init__(self):
@@ -124,6 +123,8 @@ def train(net: HybridNetwork, samples, cfg: TrainConfig, log_every=0):
     """
     if not samples:
         raise ValueError("empty training dataset")
+    if log_every < 0:
+        raise ValueError(f"log_every must be >= 0, got {log_every!r}")
     check_shapes(samples)
     order = np.random.default_rng(cfg.seed).permutation(len(samples))
     aug_rng = np.random.default_rng(cfg.seed + 0x5E5)
@@ -141,7 +142,7 @@ def train(net: HybridNetwork, samples, cfg: TrainConfig, log_every=0):
             l = np.where(flip[:, None, None], l[..., ::-1], l)
         net.zero_grad()
         logits = forward(net, f, v)
-        out = loss(logits, l, ignore_index=cfg.ignore_index)
+        out = loss(logits, l)
         value = out.item()
         if not np.isfinite(value):
             raise FloatingPointError(

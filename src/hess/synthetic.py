@@ -17,6 +17,7 @@ import numpy as np
 
 from .events import EventStream, make_stream, read_events, write_events
 from .imgio import read_pgm, write_pgm
+from .metrics import IGNORE_INDEX
 
 BACKGROUND_LEVEL = 0.45
 CONTRAST_THRESHOLD = 0.15
@@ -43,9 +44,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.width < 16 or self.height < 16:
             raise ValueError("scene geometry must be at least 16x16")
-        if not 2 <= self.num_classes <= 255:   # uint8 labels; 255 is the ignore index
-            raise ValueError(f"num_classes must lie in 2..255 (background plus shape "
-                             f"classes), got {self.num_classes}")
+        if not 2 <= self.num_classes <= IGNORE_INDEX:   # uint8 ids, all below it
+            raise ValueError(f"num_classes must lie in 2..{IGNORE_INDEX} (background "
+                             f"plus shape classes), got {self.num_classes}")
         if self.frame_count < 1 or self.micro_steps < 1:
             raise ValueError("frame_count and micro_steps must be >= 1")
         if self.duration_us < 1:

@@ -84,9 +84,9 @@ _NO_SCOPE = contextlib.nullcontext()
 @contextlib.contextmanager
 def count_macs():
     """Count the MACs charged inside the block; yields {layer: record} in
-    first-entered order. A record holds the layer's kind ("ann" | "snn"),
-    its summed macs and number of charges (calls); an "snn" record also sums
-    the nonzero and total entries of its inputs (rate = nonzero / inputs)."""
+    first-entered order. A record holds the layer's kind ("ann" | "snn")
+    and its summed macs; an "snn" record also sums the nonzero and total
+    entries of its inputs (rate = nonzero / inputs)."""
     global _counts, _scope
     prev = _counts, _scope
     _counts, _scope = {}, ("unscoped", "ann")
@@ -114,8 +114,7 @@ def _charged_to(name, kind):
 
 def _layer_record():
     name, kind = _scope
-    return _counts.setdefault(name, dict(kind=kind, macs=0, calls=0,
-                                         nonzero=0, inputs=0))
+    return _counts.setdefault(name, dict(kind=kind, macs=0, nonzero=0, inputs=0))
 
 
 def charge(macs, x=None):
@@ -124,7 +123,6 @@ def charge(macs, x=None):
     if _counts is not None:
         rec = _layer_record()
         rec["macs"] += int(macs)
-        rec["calls"] += 1
         if rec["kind"] == "snn" and x is not None:
             rec["nonzero"] += np.count_nonzero(x)
             rec["inputs"] += x.size

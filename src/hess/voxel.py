@@ -56,13 +56,13 @@ def voxelize(stream: EventStream, bins, t_start=None, t_end=None, out=None) -> n
     return out
 
 
-def znorm(v, eps=1e-8):
+def znorm(v):
     """Z-score each grid over its last three axes (population std,
     guarded near zero)."""
     axes = (-3, -2, -1)
     mean = v.mean(axis=axes, keepdims=True)
     std = v.std(axis=axes, keepdims=True)
-    return (v - mean) / np.maximum(std, eps)
+    return (v - mean) / np.maximum(std, 1e-8)
 
 
 def downsample_voxel(v, factor):

@@ -179,6 +179,7 @@ class TestAcceptance:
         report(7, "softmax normalization",
                f"1000 instances, worst |sum-1| {worst:.2e}, {elapsed:.1f}s")
 
+    @pytest.mark.slow
     def test_08_toy_training(self):
         start = time.monotonic()
         train_samples = make_samples(100, SynthConfig(width=64, height=64,

@@ -57,7 +57,7 @@ def train_whole_split(net, samples, cfg):
             v = np.where(flip[:, None, None, None], v[..., ::-1], v)
             l = np.where(flip[:, None, None], l[..., ::-1], l)
         net.zero_grad()
-        out = cross_entropy(forward(net, f, v), l, ignore_index=cfg.ignore_index)
+        out = cross_entropy(forward(net, f, v), l)
         losses[it] = out.item()
         out.backward()
         optimizer.step(lr_at(cfg, it))

@@ -224,6 +224,35 @@ class TestCLI:
         assert "error:" in err and "'bogus'" in err
         assert not (tmp_path / "m.hess").exists()
 
+    def test_train_rejects_negative_log_every(self, workspace, tmp_path, capsys):
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--data", str(workspace / "train"), "--out", str(tmp_path / "m.hess"),
+                     "--log-every", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "log_every" in captured.err
+        assert "loss" not in captured.out
+        assert not (tmp_path / "m.hess").exists()
+
+    def test_train_rejects_ignore_index_config_key(self, workspace, tmp_path, capsys):
+        # the ignore index is metrics.IGNORE_INDEX, not a setting
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"train": {"ignore_index": 255}}))
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "train"),
+                     "--out", str(tmp_path / "m.hess")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'ignore_index'" in err
+        assert not (tmp_path / "m.hess").exists()
+
+    def test_sweep_rejects_an_empty_list(self, workspace, tmp_path, capsys):
+        report = tmp_path / "sweep.json"
+        assert main(["sweep-timesteps", "--config", str(workspace / "config.json"),
+                     "--data", str(workspace / "train"),
+                     "--test-data", str(workspace / "test"),
+                     "--list", ",", "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty" in err
+        assert not report.exists()
+
     def test_sweep_and_ablate(self, workspace):
         sweep_report = workspace / "sweep.json"
         assert main(["sweep-timesteps", "--config", str(workspace / "config.json"),

@@ -101,6 +101,12 @@ class TestAblation:
         assert a == b
 
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ablation(NetworkConfig(seed=7, **NET), TrainConfig(**TRAIN),
+                     tiny_data(8), tiny_data(9, n=3), rows=())
+
+
 class TestTimestepSweep:
     def test_single_entry(self):
         rows = timestep_sweep(NetworkConfig(seed=13, **NET), TrainConfig(**TRAIN),
@@ -137,6 +143,3 @@ class TestFormatTable:
         assert len(lines) == 3
         assert lines[0].startswith("a")
         assert all(len(l) == len(lines[0]) or True for l in lines)
-
-    def test_empty(self):
-        assert format_table([]) == "(empty)"

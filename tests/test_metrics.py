@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hess.metrics import confusion, metrics
+from hess.metrics import IGNORE_INDEX, confusion, metrics
+from hess.ops import cross_entropy
 
 
 class TestConfusion:
@@ -16,6 +17,24 @@ class TestConfusion:
         gt = np.full((1, 4, 4), 255)
         cm = confusion(np.zeros((1, 4, 4), dtype=int), gt, 3)
         assert cm.shape == (3, 3) and cm.sum() == 0
+
+    def test_ignored_pixel_counts_in_neither_loss_nor_confusion(self):
+        g = np.random.default_rng(3)
+        logits = g.normal(size=(1, 3, 2, 3))
+        gt = np.array([[[0, 2, 1], [1, 0, 2]]])
+        pred = logits.argmax(axis=1)
+        marked = gt.copy()
+        marked[0, 1, 2] = IGNORE_INDEX
+        keep = np.ones(gt.shape, bool)
+        keep[0, 1, 2] = False
+        assert np.array_equal(confusion(pred, marked, 3),
+                              confusion(pred[keep], gt[keep], 3))
+        # the loss is the mean over the other five pixels
+        z = logits - logits.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        picked = np.take_along_axis(logp, gt[:, None], axis=1)[:, 0]
+        assert cross_entropy(logits, marked).item() == pytest.approx(
+            -picked[keep].mean(), abs=1e-12)
 
     def test_hand_case(self):
         pred = np.array([[0, 1], [1, 1]])

@@ -256,6 +256,14 @@ class TestTraining:
         for k, p in net.params.items():
             assert np.array_equal(p.data, before[k])
 
+    def test_negative_log_every_rejected_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr("hess.optim.forward", lambda *a: steps.append(a))
+        cfg = TrainConfig(total_iterations=2, warmup_iterations=0, batch_size=2)
+        with pytest.raises(ValueError, match="log_every must be >= 0"):
+            train(small_net(9), self.make_dataset(), cfg, log_every=-1)
+        assert steps == []
+
     def test_training_is_deterministic(self):
         curves = []
         for _ in range(2):

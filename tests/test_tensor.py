@@ -194,10 +194,10 @@ class TestPoolAndSample:
         m = g.normal(size=(3, 5, 6))
         iy = np.array([0, 2, 4])
         ix = np.array([1, 5, 0])
-        got = ops.gather_pixels_many(constant(m[None]), iy, ix)
+        got = ops.gather_pixels_many(constant(m[None]), iy, ix, [[0]])
         assert got.shape == (1, 3, 3)
         assert np.allclose(got.data[0], m[:, iy, ix].T)
-        back = ops.scatter_points_many(constant(np.zeros((1, 3, 5, 6))), got, iy, ix)
+        back = ops.scatter_points_many(constant(np.zeros((1, 3, 5, 6))), got, iy, ix, 0)
         assert back.shape == (1, 3, 5, 6)
         assert np.allclose(back.data[0][:, iy, ix], m[:, iy, ix])
         mask = np.ones((5, 6), bool)
@@ -205,12 +205,12 @@ class TestPoolAndSample:
         assert np.all(back.data[0][:, mask] == 0.0)
 
     def map_index_case(self):
-        # 3 maps, 2 rows of 6 points; texel (2, 3) of map 1 is hit twice
-        # in each row
+        # 3 maps, 2 rows of 6 distinct points: the rows share positions
+        # but read each one on different maps
         g = rng(17)
         iy = np.array([2, 0, 3, 2, 1, 2])
-        ix = np.array([3, 4, 0, 3, 1, 3])
-        index = np.array([[1, 0, 2, 1, 2, 0], [0, 2, 1, 1, 0, 1]])
+        ix = np.array([3, 4, 0, 1, 1, 4])
+        index = np.array([[1, 0, 2, 1, 2, 0], [0, 2, 1, 2, 0, 1]])
         maps = parameter(g.normal(size=(3, 2, 4, 5)))
         updates = parameter(g.normal(size=(2, 6, 2)))
         return maps, updates, iy, ix, index
@@ -224,17 +224,37 @@ class TestPoolAndSample:
                 want = maps.data[index[r, j], :, iy[j], ix[j]]
                 assert got.data[r, j].tobytes() == want.tobytes()
 
-    def test_scatter_map_index_matches_loop_and_accumulates(self):
+    def test_scatter_map_index_matches_loop(self):
         maps, updates, iy, ix, index = self.map_index_case()
         got = ops.scatter_points_many(maps, updates, iy, ix, index)
-        acc = np.zeros(maps.shape)
+        want = maps.data.copy()
         for r in range(2):
             for j in range(6):
-                acc[index[r, j], :, iy[j], ix[j]] += updates.data[r, j]
-        assert got.data.tobytes() == (maps.data + acc).tobytes()
-        u = updates.data
-        hits = u[0, 0] + u[0, 3] + u[1, 3] + u[1, 5]
-        assert np.array_equal(got.data[1, :, 2, 3], maps.data[1, :, 2, 3] + hits)
+                want[index[r, j], :, iy[j], ix[j]] += updates.data[r, j]
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_gather_scatter_repeated_point_rejected(self):
+        # texel (2, 3) of map 0, named by row 0 and by row 1
+        maps, updates, iy, ix, index = self.map_index_case()
+        index = index.copy()
+        index[0, 0] = 0
+        with pytest.raises(ValueError, match="repeated point"):
+            ops.gather_pixels_many(maps, iy, ix, index)
+        with pytest.raises(ValueError, match="repeated point"):
+            ops.scatter_points_many(maps, updates, iy, ix, index)
+        # the same texel on different maps is not a repeat
+        assert ops.gather_pixels_many(maps, [2, 2], [3, 3], [[0, 1]]).shape == (1, 2, 2)
+
+    def test_gather_scatter_turn_negative_zero_positive(self):
+        # as a sum from zero would: the gather's map gradient and a
+        # scatter's -0.0 + -0.0 both give +0.0
+        maps = parameter(np.full((1, 2, 3, 3), -0.0))
+        upd = constant(np.full((1, 1, 2), -0.0))
+        out = ops.scatter_points_many(maps, upd, 1, 2, 0)
+        assert not np.signbit(out.data[0, :, 1, 2]).any()
+        dmaps, = ops.gather_pixels_many(maps, 1, 2, [[0]])._record.backward(
+            np.full((1, 1, 2), -0.0))
+        assert not np.signbit(dmaps).any()
 
     def test_gather_scatter_map_index_grads(self):
         maps, updates, iy, ix, index = self.map_index_case()
@@ -257,8 +277,6 @@ class TestPoolAndSample:
             ops.gather_pixels_many(maps, iy, ix + 2, index)
         with pytest.raises(ValueError, match="outside the map"):
             ops.scatter_points_many(maps, updates, iy + 2, ix, index)
-        with pytest.raises(ValueError, match="one row of points per map"):
-            ops.scatter_points_many(maps, updates, iy, ix)
 
     def test_interp_resize_constant_map(self):
         x = constant(np.full((1, 2, 4, 4), 3.25))
@@ -435,7 +453,7 @@ class TestGradCheck:
         g = rng(301)
         logits = parameter(g.normal(size=(1, 3, 2, 1)))
         labels = np.array([[[0], [2]]])
-        loss = ops.cross_entropy(logits, labels, ignore_index=255)
+        loss = ops.cross_entropy(logits, labels)
         # hand-computed: mean of -log softmax at the true class
         z = logits.data
         ref = 0.0
@@ -444,7 +462,7 @@ class TestGradCheck:
             ref += -np.log(e[k] / e.sum())
         assert abs(loss.item() - ref / 2) <= 1e-12
         assert grad_check(
-            lambda: ops.cross_entropy(logits, labels, ignore_index=255),
+            lambda: ops.cross_entropy(logits, labels),
             [logits], eps=1e-6) <= 1e-4
 
     def test_cross_entropy_ignore_and_errors(self):
