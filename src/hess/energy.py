@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .network import HybridNetwork, forward
-from .optim import check_shapes, prepare_batches, prepare_frames
+from .optim import check_shapes, prepare_batches
 from .tensor import count_macs, no_grad
 
 ANN_PJ_PER_MAC = 4.6
@@ -114,25 +114,21 @@ def fit_energy_coefficients(rows=BASELINE_ROWS):
     return float(coef[0]), float(coef[1])
 
 
-def profile(net: HybridNetwork, samples, use_events=True) -> EnergyReport:
+def profile(net: HybridNetwork, samples) -> EnergyReport:
     """Run the dataset through the network and reduce the MACs its ops
     charge to per-layer costs.
 
     Each sample is prepared and run on its own. MAC counts and spike rates
     are averaged over samples; parameters are untouched. A spiking layer
     charges all net.config.timesteps steps at once; its MACs are reported
-    per timestep. With use_events=False the frame branch runs alone and
-    the spiking column is zero.
+    per timestep.
     """
     if not samples:
         raise ValueError("profiling needs at least one sample")
     check_shapes(samples)
     runs = []
     for s in samples:
-        if use_events:
-            frames, voxels, _ = prepare_batches([s], net.config.bins)
-        else:       # no grid to bin for the frame branch alone
-            frames, voxels = prepare_frames([s]), None
+        frames, voxels, _ = prepare_batches([s], net.config.bins)
         with no_grad(), count_macs() as counts:
             forward(net, frames, voxels)
         runs.append(counts)

@@ -14,6 +14,8 @@ from .metrics import confusion, metrics
 from .network import NetworkConfig, build, predict
 from .optim import TrainConfig, check_shapes, prepare_batches, train
 
+EVAL_BATCH = 8   # samples run_eval prepares and predicts at a time
+
 # the 8 module-toggle rows of the ablation grid: frame+event baseline,
 # each injector/fusion block alone, the pairs, then everything on
 ABLATION_ROWS = (
@@ -28,8 +30,8 @@ ABLATION_ROWS = (
 )
 
 
-def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8):
-    """Aggregate one confusion matrix over the dataset; each batch_size
+def run_eval(net, samples, out_dir=None, report_path=None):
+    """Aggregate one confusion matrix over the dataset; each EVAL_BATCH
     slice is prepared, predicted, scored and written before the next.
 
     Optionally writes predicted label maps (PGM), palette renderings
@@ -40,8 +42,8 @@ def run_eval(net, samples, out_dir=None, report_path=None, batch_size=8):
     num_classes = net.config.num_classes
     check_shapes(samples)
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for lo in range(0, len(samples), batch_size):
-        frames, voxels, labels = prepare_batches(samples[lo:lo + batch_size],
+    for lo in range(0, len(samples), EVAL_BATCH):
+        frames, voxels, labels = prepare_batches(samples[lo:lo + EVAL_BATCH],
                                                  net.config.bins)
         preds = predict(net, frames, voxels)
         cm += confusion(preds, labels, num_classes)

@@ -269,9 +269,9 @@ def predict(net, frames, voxel=None):
 # -- checkpointing ------------------------------------------------------------
 
 
-def save_checkpoint(net: HybridNetwork, path, optimizer_state=None):
-    """Binary checkpoint: magic, version, config JSON, parameter tensors
-    in declaration order, then optional optimizer moments. Little-endian."""
+def save_checkpoint(net: HybridNetwork, path):
+    """Binary checkpoint, little-endian: magic, version, config JSON, the
+    parameter tensors in declaration order, then version 1's zero byte."""
     cfg_json = json.dumps(asdict(net.config), sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -286,23 +286,14 @@ def save_checkpoint(net: HybridNetwork, path, optimizer_state=None):
             for d in p.data.shape:
                 f.write(struct.pack("<I", d))
             f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-        if optimizer_state is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", optimizer_state["step"]))
-            for name in net.params:
-                for key in ("m", "v"):
-                    f.write(np.ascontiguousarray(
-                        optimizer_state[key][name], dtype="<f8").tobytes())
+        f.write(b"\0")
 
 
 def load_checkpoint(path):
-    """Rebuild (network, optimizer_state_or_None) from a checkpoint.
-
-    Every read is bounds-checked: a short or malformed file, or a
-    non-finite parameter or moment, raises ValueError naming the path.
-    """
+    """Rebuild (network, None) from a checkpoint; the pair is kept for
+    perfbench/workloads.py. Every read is bounds-checked: a short or
+    malformed file, a non-finite parameter, or anything but one zero
+    byte after the parameters raises ValueError naming the path."""
     with open(path, "rb") as f:
         raw = f.read()
     pos = 0
@@ -316,12 +307,6 @@ def load_checkpoint(path):
 
     def unpack(fmt):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    def array(shape, what):
-        values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: {what} holds a non-finite value")
-        return values
 
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
@@ -343,13 +328,10 @@ def load_checkpoint(path):
         if shape != p.shape:
             raise ValueError(f"{path}: parameter {name} has shape {shape}, "
                              f"expected {p.shape}")
-        p.data = array(shape, f"parameter {name}").astype(p.data.dtype)   # a writable copy
-    (has_optim,) = unpack("<B")
-    optim = None
-    if has_optim:
-        (step,) = unpack("<Q")
-        optim = {"step": step, "m": {}, "v": {}}
-        for name, p in net.params.items():
-            for key in ("m", "v"):
-                optim[key][name] = array(p.shape, f"optimizer {key} of {name}").copy()
-    return net, optim
+        values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
+        p.data = values.astype(p.data.dtype)   # a writable copy
+    if take(1) != b"\0" or pos != len(raw):
+        raise ValueError(f"{path}: unexpected data after the parameters")
+    return net, None

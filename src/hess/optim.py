@@ -80,14 +80,6 @@ class AdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= lr * (update + self.weight_decay * p.data)
 
-    def state(self):
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-
-def prepare_frames(samples):
-    """Frames (N, 1, H, W) in [0, 1], the frame part of prepare_batches."""
-    return np.stack([s.frame for s in samples])[:, None] / 255.0
-
 
 def prepare_batches(samples, bins):
     """Frames (N, 1, H, W) in [0, 1], raw voxels (N, B, H, W), each binned
@@ -95,7 +87,7 @@ def prepare_batches(samples, bins):
 
     Each sample's arrays depend on that sample alone, so train, run_eval
     and profile call this on one batch at a time and hold no more."""
-    frames = prepare_frames(samples)
+    frames = np.stack([s.frame for s in samples])[:, None] / 255.0
     labels = np.stack([s.labels for s in samples]).astype(np.int64)
     voxels = np.zeros((len(samples), bins) + frames.shape[2:])
     for s, grid in zip(samples, voxels):

@@ -97,8 +97,6 @@ def _sigmoid_of(h, cfg: LIFConfig):
 def surrogate_grad(h, cfg: LIFConfig):
     """Surrogate dS/dH: alpha * sigmoid'(alpha * (H - theta))."""
     h = np.asarray(h)
-    if h.dtype not in (np.float32, np.float64):
-        h = h.astype(np.float64)
     sig = _sigmoid_of(h, cfg)
     rest = 1.0 - sig
     sig *= cfg.surrogate_alpha

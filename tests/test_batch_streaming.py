@@ -9,6 +9,7 @@ import pytest
 
 from hess import energy, harness, optim
 from hess.energy import profile
+from hess.events import EventStream
 from hess.harness import run_eval
 from hess.imgio import colorize_labels, read_pgm, read_ppm
 from hess.metrics import confusion, metrics
@@ -28,6 +29,13 @@ def split(seed=2, n=7):
     cfg = SynthConfig(width=16, height=16, frame_count=n, num_shapes=2,
                       min_size=5, max_size=9, duration_us=20_000)
     return make_samples(seed, cfg)
+
+
+def without_events(samples):
+    """The same samples with empty event windows."""
+    for s in samples:
+        s.events = EventStream(s.events.width, s.events.height)
+    return samples
 
 
 def net_for(dtype, seed=1):
@@ -90,9 +98,10 @@ def test_train_prepares_each_step_batch_in_shuffled_order(prepared):
     assert [s for b in prepared for s in b] == visits
 
 
-def test_run_eval_prepares_one_batch_at_a_time(prepared):
+def test_run_eval_prepares_one_batch_at_a_time(prepared, monkeypatch):
     samples = split()
-    run_eval(net_for(np.float64), samples, batch_size=3)
+    monkeypatch.setattr(harness, "EVAL_BATCH", 3)
+    run_eval(net_for(np.float64), samples)
     assert [len(b) for b in prepared] == [3, 3, 1]
     assert [s for b in prepared for s in b] == [id(s) for s in samples]
 
@@ -103,10 +112,10 @@ def test_profile_prepares_one_sample_at_a_time(prepared):
     assert prepared == [[id(s)] for s in samples]
 
 
-@pytest.mark.parametrize("use_events", [True, False])
-def test_profile_voxelizes_only_when_events_run(monkeypatch, use_events):
-    # the frames-only profile used to voxelize every sample and drop the grid
-    samples = split(n=3)
+@pytest.mark.parametrize("with_events", [True, False])
+def test_profile_voxelizes_only_when_events_run(monkeypatch, with_events):
+    # a sample whose event window is empty keeps its zero grid unbinned
+    samples = split(n=3) if with_events else without_events(split(n=3))
     calls = []
 
     def counting(*args, **kwargs):
@@ -114,8 +123,8 @@ def test_profile_voxelizes_only_when_events_run(monkeypatch, use_events):
         return voxelize(*args, **kwargs)
 
     monkeypatch.setattr(optim, "voxelize", counting)
-    profile(net_for(np.float64), samples, use_events)
-    assert [id(e) for e in calls] == ([id(s.events) for s in samples] if use_events else [])
+    profile(net_for(np.float64), samples)
+    assert [id(e) for e in calls] == ([id(s.events) for s in samples] if with_events else [])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -133,14 +142,15 @@ def test_train_matches_the_whole_split_algorithm(tmp_path, dtype, flip):
     assert (tmp_path / "streamed.hess").read_bytes() == (tmp_path / "whole.hess").read_bytes()
 
 
-def test_run_eval_matches_the_whole_split_algorithm(tmp_path):
+def test_run_eval_matches_the_whole_split_algorithm(tmp_path, monkeypatch):
     samples = split()
     net = net_for(np.float64)
     frames, voxels, labels = prepare_batches(samples, net.config.bins)
     preds = np.concatenate([predict(net, frames[lo:lo + 3], voxels[lo:lo + 3])
                             for lo in range(0, len(samples), 3)])
     accuracy, iou, miou = metrics(confusion(preds, labels, 3))
-    report = run_eval(net, samples, out_dir=tmp_path, batch_size=3)
+    monkeypatch.setattr(harness, "EVAL_BATCH", 3)
+    report = run_eval(net, samples, out_dir=tmp_path)
     assert report == {"samples": len(samples), "accuracy": accuracy,
                       "per_class_iou": [None if np.isnan(v) else float(v) for v in iou],
                       "miou": miou}
@@ -149,14 +159,14 @@ def test_run_eval_matches_the_whole_split_algorithm(tmp_path):
         assert read_ppm(tmp_path / f"pred_{i:04d}.ppm").tobytes() == colorize_labels(p).tobytes()
 
 
-@pytest.mark.parametrize("use_events", [True, False])
-def test_profile_matches_the_whole_split_algorithm(monkeypatch, use_events):
+@pytest.mark.parametrize("with_events", [True, False])
+def test_profile_matches_the_whole_split_algorithm(monkeypatch, with_events):
     # the reduction over per-sample counts is unchanged, so the former
     # algorithm is profile fed rows of the whole-split arrays; the test above
     # pins that each sample is visited once, in order
-    samples = split(n=3)
+    samples = split(n=3) if with_events else without_events(split(n=3))
     net = net_for(np.float64)
-    streamed = profile(net, samples, use_events)
+    streamed = profile(net, samples)
     frames, voxels, labels = prepare_batches(samples, net.config.bins)
     row = {id(s): i for i, s in enumerate(samples)}
 
@@ -165,14 +175,14 @@ def test_profile_matches_the_whole_split_algorithm(monkeypatch, use_events):
         return frames[i:i + 1], voxels[i:i + 1], labels[i:i + 1]
 
     monkeypatch.setattr(energy, "prepare_batches", indexed)
-    assert streamed == profile(net, samples, use_events)
+    assert streamed == profile(net, samples)
     assert any(l.macs for l in streamed.layers)
 
 
 @pytest.mark.parametrize("field", ["frame", "labels"])
 @pytest.mark.parametrize("run", [
     lambda net, samples: train(net, samples, train_cfg(flip=False)),
-    lambda net, samples: run_eval(net, samples, batch_size=3),
+    lambda net, samples: run_eval(net, samples),
     lambda net, samples: profile(net, samples)], ids=["train", "run_eval", "profile"])
 def test_a_mixed_shape_split_is_rejected_before_any_work(monkeypatch, field, run):
     samples = split()
@@ -180,6 +190,7 @@ def test_a_mixed_shape_split_is_rejected_before_any_work(monkeypatch, field, run
     setattr(last, field, np.zeros((8, 8), getattr(last, field).dtype))
     steps = []
     monkeypatch.setattr(optim.AdamW, "step", lambda self, lr: steps.append(lr))
+    monkeypatch.setattr(harness, "EVAL_BATCH", 3)   # the bad sample is in a later batch
     monkeypatch.setattr(optim, "prepare_batches", None)
     monkeypatch.setattr(harness, "prepare_batches", None)
     monkeypatch.setattr(energy, "prepare_batches", None)

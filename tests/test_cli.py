@@ -6,7 +6,6 @@ import pytest
 from hess.cli import main
 from hess.events import make_stream, write_events
 from hess.network import NetworkConfig, build, save_checkpoint
-from hess.optim import AdamW
 from hess.synthetic import SynthConfig, load_dataset, make_samples
 
 # LIF settings NetworkConfig rejects when it is built
@@ -142,6 +141,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "error:" in err and "'bdaptor_ratio'" in err
 
+    def test_eval_checkpoint_with_trailing_bytes_fails_cleanly(self, workspace, tmp_path,
+                                                               capsys):
+        ckpt = tmp_path / "long.hess"
+        save_checkpoint(build(NetworkConfig(scales=((2, 4),), k_points=1)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "test")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "long.hess: unexpected data" in err
+
     @pytest.mark.parametrize("meta", ['[]', '{"windows": []}', '{"samples": "3"}',
                                       '{"samples": true, "windows": [[0, 1]]}',
                                       '{"samples": -1, "windows": []}',
@@ -201,15 +209,14 @@ class TestCLI:
         assert err.startswith("error:") and "bins must equal timesteps" in err
         assert not (tmp_path / "m.hess").exists()
 
-    @pytest.mark.parametrize("where", ["param", "m"])
+    @pytest.mark.parametrize("where", ["param"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_eval_non_finite_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys,
                                                       where, bad):
         net = build(NetworkConfig(scales=((2, 4),), k_points=1))
-        state = AdamW(net.params).state()
-        (net.params["head.cls.b"].data if where == "param" else state["m"]["head.cls.b"])[0] = bad
+        net.params["head.cls.b"].data[0] = bad
         ckpt = tmp_path / "bad.hess"
-        save_checkpoint(net, ckpt, state)
+        save_checkpoint(net, ckpt)
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "test")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "head.cls.b" in err and "non-finite" in err

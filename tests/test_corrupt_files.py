@@ -28,9 +28,7 @@ def originals(tmp_path_factory):
     stream = make_stream(20, 12, g.integers(0, 20, n), g.integers(0, 12, n),
                          np.sort(g.integers(0, 10**6, n)), g.choice([-1, 1], n))
     net = build(NetworkConfig(scales=((2, 4), (4, 8)), timesteps=2, bins=2))
-    save_checkpoint(net, d / "net.ckpt",
-                    {"step": 3, "m": {k: p.data for k, p in net.params.items()},
-                     "v": {k: p.data for k, p in net.params.items()}})
+    save_checkpoint(net, d / "net.ckpt")
     write_events(stream, d / "ev.evt1")
     write_events(stream, d / "ev.csv")
     write_pgm(g.integers(0, 256, (5, 7)).astype(np.uint8), d / "im.pgm")

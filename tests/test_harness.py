@@ -142,4 +142,4 @@ class TestFormatTable:
         lines = text.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("a")
-        assert all(len(l) == len(lines[0]) or True for l in lines)
+        assert lines == ["a   b     ", "1   0.5000", "22  yes   "]

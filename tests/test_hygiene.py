@@ -21,8 +21,8 @@ SRC = ROOT / "src" / "hess"
 REFERENCE_ONLY = {"spiking.lif_step", "spiking.constant_input_trajectory",
                   "energy.fit_energy_coefficients", "imgio.read_ppm"}
 # methods the tests call: the single-time renderer that the data-path tests
-# check against full-image masks, and the optimizer state a checkpoint holds
-REFERENCE_ONLY_MEMBERS = {"synthetic.Scene.render", "optim.AdamW.state"}
+# check against full-image masks
+REFERENCE_ONLY_MEMBERS = {"synthetic.Scene.render"}
 
 
 def unused_imports(path):
