@@ -126,7 +126,8 @@ def cmd_gen(args):
 def cmd_voxelize(args):
     stream = read_events(args.events)
     grid = voxelize(stream, args.bins, args.t_start, args.t_end)
-    np.save(args.out, grid)
+    with open(args.out, "wb") as f:   # np.save(path) would append .npy
+        np.save(f, grid)
     bins, height, width = grid.shape
     print(f"voxelized {len(stream)} events into {bins}x{height}x{width} ({args.out})")
 

@@ -1,15 +1,12 @@
 """Event-stream records and file I/O.
 
-Streams carry (x, y, t, p) camera events sorted by timestamp. Two file
-formats are supported:
+Streams carry (x, y, t, p) camera events sorted by timestamp. Their one
+file format is EVT1 binary, little-endian: magic ``EVT1``, u32 width,
+u32 height, u64 event count, then per event u16 x, u16 y, u64 t
+(microseconds), i8 polarity (-1/+1), i8 padding (0).
 
-* EVT1 binary, little-endian: magic ``EVT1``, u32 width, u32 height,
-  u64 event count, then per event u16 x, u16 y, u64 t (microseconds),
-  i8 polarity (-1/+1), i8 padding (0).
-* CSV with header line ``x,y,t,p``.
-
-Round trips are bit-exact; malformed files are rejected with the index of
-the offending record.
+Round trips are bit-exact; a file that is not EVT1 fails at its magic, and
+a malformed one is rejected with the index of the offending record.
 """
 
 from __future__ import annotations
@@ -123,22 +120,14 @@ def _whole(v):
 
 
 def write_events(stream: EventStream, path):
-    path = str(path)
-    if path.endswith(".csv"):
-        with open(path, "w") as f:
-            f.write("x,y,t,p\n")
-            for e in stream.events:
-                f.write(f"{e['x']},{e['y']},{e['t']},{e['p']}\n")
-        return
+    """Write EVT1, whatever the path's suffix."""
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, stream.width, stream.height, len(stream.events)))
         f.write(stream.events.tobytes())
 
 
 def read_events(path) -> EventStream:
-    path = str(path)
-    if path.endswith(".csv"):
-        return _read_csv(path)
+    """Read EVT1, whatever the path's suffix."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -155,34 +144,3 @@ def read_events(path) -> EventStream:
     if len(bad):
         raise ValueError(f"{path}: record {bad[0]} has nonzero padding")
     return EventStream(width, height, ev)
-
-
-def _read_csv(path):
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "x,y,t,p":
-            raise ValueError(f"{path}: expected header 'x,y,t,p', got {header!r}")
-        rows = []
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: record {i} malformed")
-            rows.append(tuple(int(v) for v in parts))
-    if not rows:
-        # CSV carries no geometry header; an empty file gives a 1x1 sensor
-        return EventStream(1, 1)
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        bad = next(i for i, row in enumerate(rows) if any(abs(v) >= 2**63 for v in row))
-        raise ValueError(f"{path}: event {bad} has a value outside the 64-bit range") from None
-    width = int(arr[:, 0].max()) + 1
-    height = int(arr[:, 1].max()) + 1
-    try:
-        return make_stream(width, height, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hess.cli import main
-from hess.events import make_stream, write_events
+from hess.events import make_stream, read_events, write_events
 from hess.network import NetworkConfig, build, save_checkpoint
 from hess.synthetic import SynthConfig, load_dataset, make_samples
+from hess.voxel import voxelize
 
 # LIF settings NetworkConfig rejects when it is built
 BAD_LIF = [("tau", 0.5), ("tau", float("inf")), ("v_threshold", 0.0),
@@ -73,6 +74,27 @@ class TestCLI:
                      "--out", str(out)]) == 0
         grid = np.load(out)
         assert grid.shape == (4, 16, 16)
+
+    def test_voxelize_writes_exactly_the_given_path(self, workspace, tmp_path, capsys):
+        # np.save(path) would append .npy, and the printed path would name
+        # a file that was never written
+        src = workspace / "train" / "events_0001.evt1"
+        out = tmp_path / "grid"
+        assert main(["voxelize", "--events", str(src), "--bins", "4",
+                     "--out", str(out)]) == 0
+        assert f"({out})" in capsys.readouterr().out
+        assert np.array_equal(np.load(out), voxelize(read_events(src), 4))
+        assert not (tmp_path / "grid.npy").exists()
+
+    def test_voxelize_rejects_a_csv_event_file(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_text("x,y,t,p\n0,0,0,1\n3,2,5,-1\n")
+        out = tmp_path / "g.npy"
+        assert main(["voxelize", "--events", str(p), "--bins", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{p}: bad magic" in err
+        assert not out.exists()
 
     def test_voxelize_empty_stream_needs_bounds(self, tmp_path):
         from hess.events import EventStream

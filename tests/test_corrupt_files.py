@@ -1,10 +1,10 @@
 """Damaged files: every reader either returns or raises ValueError.
 
-A checkpoint, an EVT1 file, a CSV event file, a PGM and a PPM are each
-truncated, or have one byte flipped, at positions hypothesis picks. Half of
-the positions fall in the first 512 bytes, where the headers and the
-checkpoint's config are parsed. Any exception other than ValueError (the
-CLI turns those into ``error:`` and exit 1) fails the test."""
+A checkpoint, an EVT1 event file, a PGM and a PPM are each truncated, or
+have one byte flipped, at positions hypothesis picks. Half of the positions
+fall in the first 512 bytes, where the headers and the checkpoint's config
+are parsed. Any exception other than ValueError (the CLI turns those into
+``error:`` and exit 1) fails the test."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from hess.events import make_stream, read_events, write_events
 from hess.imgio import read_pgm, read_ppm, write_pgm, write_ppm
 from hess.network import NetworkConfig, build, load_checkpoint, save_checkpoint
 
-READERS = {"checkpoint": load_checkpoint, "evt1": read_events, "csv": read_events,
-           "pgm": read_pgm, "ppm": read_ppm}
+READERS = {"checkpoint": load_checkpoint, "evt1": read_events, "pgm": read_pgm,
+           "ppm": read_ppm}
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +30,10 @@ def originals(tmp_path_factory):
     net = build(NetworkConfig(scales=((2, 4), (4, 8)), timesteps=2, bins=2))
     save_checkpoint(net, d / "net.ckpt")
     write_events(stream, d / "ev.evt1")
-    write_events(stream, d / "ev.csv")
     write_pgm(g.integers(0, 256, (5, 7)).astype(np.uint8), d / "im.pgm")
     write_ppm(g.integers(0, 256, (4, 6, 3)).astype(np.uint8), d / "im.ppm")
-    files = {"checkpoint": "net.ckpt", "evt1": "ev.evt1", "csv": "ev.csv",
-             "pgm": "im.pgm", "ppm": "im.ppm"}
+    files = {"checkpoint": "net.ckpt", "evt1": "ev.evt1", "pgm": "im.pgm",
+             "ppm": "im.ppm"}
     return {fmt: (d / f"damaged_{name}", (d / name).read_bytes())
             for fmt, name in files.items()}
 

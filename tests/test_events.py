@@ -39,13 +39,22 @@ class TestEventIO:
         assert r.events.tobytes() == s.events.tobytes()
         assert (r.width, r.height) == (s.width, s.height)
 
-    def test_csv_roundtrip(self, tmp_path):
-        s = random_stream(1, n=50, width=16, height=16)
+    def test_the_suffix_does_not_choose_the_format(self, tmp_path):
+        # no event reaches the sensor's edge, so a geometry guessed from the
+        # events would read 10x5
+        s = make_stream(16, 16, [1, 5, 9], [2, 4, 3], [10, 20, 30], [1, -1, 1])
         p = tmp_path / "s.csv"
         write_events(s, p)
         r = read_events(p)
-        assert np.array_equal(r.xs, s.xs) and np.array_equal(r.ts, s.ts)
-        assert np.array_equal(r.ps, s.ps)
+        assert r.events.tobytes() == s.events.tobytes()
+        assert (r.width, r.height) == (16, 16)
+
+    def test_csv_text_rejected(self, tmp_path):
+        # CSV carries no sensor geometry, so it is not an event file
+        p = tmp_path / "ev.csv"
+        p.write_text("x,y,t,p\n0,0,0,1\n3,2,5,-1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: bad magic"):
+            read_events(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.evt1"
@@ -118,19 +127,15 @@ class TestEventIO:
         stream = make_stream(8, 8, [1] * 5, [2] * 5, list(range(5)), ps)
         assert stream.ps.tolist() == ps
 
-    @pytest.mark.parametrize("record, field", [("70000,1,5,1", "x = 70000"),
-                                               ("1,65536,5,1", "y = 65536"),
-                                               ("-1,1,5,1", "x = -1"),
-                                               ("1,1,-5,1", "t = -5"),
-                                               ("1,1,5,257", "p = 257"),
-                                               ("1,1,18446744073709551616,1",
-                                                "a value outside the 64-bit range")])
-    def test_csv_value_outside_evt1_field_rejected(self, tmp_path, record, field):
+    @pytest.mark.parametrize("field, value", [("x", 70000), ("y", 65536), ("x", -1),
+                                              ("t", -5), ("p", 257)],
+                             ids=["x = 70000", "y = 65536", "x = -1", "t = -5", "p = 257"])
+    def test_make_stream_value_outside_evt1_field_rejected(self, field, value):
         # unchecked, the casts would wrap x = 70000 to 4464 and t = -5 to 2**64 - 5
-        p = tmp_path / "wide.csv"
-        p.write_text(f"x,y,t,p\n0,0,0,1\n{record}\n")
-        with pytest.raises(ValueError, match=f"wide.csv: event 1 has {field}"):
-            read_events(p)
+        cols = {"x": [0, 1], "y": [0, 1], "t": [0, 5], "p": [1, 1]}
+        cols[field][1] = value
+        with pytest.raises(ValueError, match=f"^event 1 has {field} = {value}, outside the EVT1 field"):
+            make_stream(8, 8, cols["x"], cols["y"], cols["t"], cols["p"])
 
     def test_make_stream_checks_fields_before_the_cast(self):
         with pytest.raises(ValueError, match="event 2 has t = -1"):

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module imports is used in that module,
-every public top-level name and every public method or property of a
-public class is referenced somewhere besides its own definition, and every
-hess function the benchmark's tracer wraps, and every hook its train
-workload patches, exists, and tape records keep the form the tracer reads."""
+"""Source hygiene: every module hess imports is numpy, scipy, the standard
+library or hess itself, and pyproject.toml declares exactly numpy and scipy;
+every name a module imports is used in that module, every public top-level
+name and every public method or property of a public class is referenced
+somewhere besides its own definition, and every hess function the
+benchmark's tracer wraps, and every hook its train workload patches,
+exists, and tape records keep the form the tracer reads."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,43 @@ REFERENCE_ONLY = {"spiking.lif_step", "spiking.constant_input_trajectory",
 # methods the tests call: the single-time renderer that the data-path tests
 # check against full-image masks
 REFERENCE_ONLY_MEMBERS = {"synthetic.Scene.render"}
+
+
+def foreign_imports(path):
+    """Imports anywhere in the module, function-level ones included, of
+    anything but the standard library, numpy, scipy or a relative module."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_imports_only_numpy_scipy_and_the_standard_library():
+    assert [f for path in sorted(SRC.glob("*.py")) for f in foreign_imports(path)] == []
+
+
+def test_declared_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert sorted(re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps) == ["numpy", "scipy"]
+
+
+def test_detects_a_foreign_import(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("from __future__ import annotations\n"
+                 "import os.path, yaml\nimport numpy as np\nfrom . import ops\n"
+                 "from .tensor import Tensor\nfrom hess import voxel\n\n"
+                 "def f():\n    from scipy import sparse\n    import torch\n")
+    assert foreign_imports(p) == ["m.py:2 yaml", "m.py:6 hess", "m.py:10 torch"]
 
 
 def unused_imports(path):
